@@ -66,15 +66,15 @@ int main() {
     o.autotune = false;
     o.tile.bm = 32;
     o.tile.bn = 32;
-    toggles.push_back({"- autotuning (fixed 32x32 tiles)", o});
+    toggles.push_back({"- tile heuristic (fixed 32x32 tiles)", o});
   }
   for (const Toggle& t : toggles) {
     const double us = gemm_us(dev, t.opts, m, n, k, p, q);
     print_row({t.label, strf("%.2fus", us), strf("%.2fx", us / t_base)}, 26);
   }
 
-  // Tail: TLP threshold sensitivity of the autotuner (the §4.3.2 T knob).
-  print_header("Autotuner TLP threshold sensitivity (same layer)");
+  // Tail: TLP threshold sensitivity of the §4.3.2 tile heuristic (T knob).
+  print_header("Tile-heuristic TLP threshold sensitivity (same layer)");
   print_row({"threshold T", "tile", "latency"}, 18);
   print_rule(3, 18);
   for (double threshold : {8.0, 32.0, 64.0, 256.0, 1024.0}) {

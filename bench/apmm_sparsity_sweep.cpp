@@ -207,8 +207,9 @@ int main(int argc, char** argv) {
                bit_exact ? "true" : "false");
   for (std::size_t si = 0; si < nschemes; ++si) {
     for (std::size_t pi = 0; pi < npoints; ++pi) {
-      // Only the acceptance points carry gated *_ms keys; the mid-sweep
-      // times are informational (*_millis: presence-checked, no ceiling).
+      // Only the acceptance points carry ceiling-gated *_ms keys; the
+      // mid-sweep *_millis times are informational (tools/check_bench.py
+      // declares each key's gate).
       const bool gated = kPoints[pi] == 0 || kPoints[pi] == 90;
       std::fprintf(f,
                    "  \"%s_dense_%d_%s\": %.3f,\n"

@@ -15,16 +15,9 @@
 // glue ops farmed over the thread pool.
 //
 // Bit-exactness of the two paths (and the dense reference model) is checked
-// before any timing. Results are written as JSON so CI can track the
-// end-to-end forward speedup from PR 3 onward.
-//
-// PR 4 adds the heuristic-vs-tuned mode: the same session compiled with
-// plan-time empirical autotuning (core::Autotuner + TuningCache) runs next
-// to the heuristic plan. The gate enforces that the tuned plan is bit-exact
-// and never slower than the heuristic plan beyond wall-clock noise (the
-// autotuner measures the heuristic config as candidate #0, so it can only
-// deviate when something measured faster), and that a warm TuningCache
-// makes a recompile perform zero measurement runs.
+// before any timing. Results are written as JSON, with the hardware thread
+// count they were measured at, so CI can track the end-to-end forward
+// speedup.
 //
 // Usage: apnn_forward_hotpath [out.json] [reps]
 #include <algorithm>
@@ -32,6 +25,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/timer.hpp"
@@ -302,42 +296,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Tuned plan: empirical autotuning at compile time, winners persisted in
-  // a TuningCache. Bit-exactness is gated like the other paths.
-  core::TuningCache cache;
-  nn::SessionOptions topts;
-  topts.autotune = true;
-  topts.cache = &cache;
-  topts.tune_batch = batch;
-  nn::InferenceSession tuned(net, dev, topts);
-  Tensor<std::int32_t> tuned_logits;
-  tuned.run(input, &tuned_logits);
-  if (!(tuned_logits == ref)) {
-    std::fprintf(stderr, "FATAL: tuned session mismatches reference\n");
-    return 1;
-  }
-  const std::int64_t tuning_runs = tuned.tuning_measurements();
-
-  // A warm cache must make a recompile skip every measurement run (the
-  // CLI/server cold-start path).
-  nn::InferenceSession warm(net, dev, topts);
-  const std::int64_t warm_runs = warm.tuning_measurements();
-  if (warm_runs != 0) {
-    std::fprintf(stderr,
-                 "FATAL: warm-cache compile performed %lld measurement "
-                 "runs (expected 0)\n",
-                 static_cast<long long>(warm_runs));
-    return 1;
-  }
-
   const double interp_ms = best_of_ms(reps, [&] {
     interpreter_forward(net, input, dev);
   });
   const double session_ms = best_of_ms(reps, [&] {
     session.run(input, &sess_logits);
-  });
-  const double tuned_ms = best_of_ms(reps, [&] {
-    tuned.run(input, &tuned_logits);
   });
   // A fresh compile per call (what ApnnNetwork::forward does) for context.
   const double compile_run_ms = best_of_ms(reps, [&] {
@@ -346,20 +309,10 @@ int main(int argc, char** argv) {
     s.run(input, &l);
   });
 
-  // Perf gate: the tuned plan must never lose to the heuristic plan beyond
-  // measurement noise (both numbers are best-of-reps on this machine).
-  const double tuned_vs_heuristic = session_ms / tuned_ms;
-  if (tuned_ms > session_ms * 1.10) {
-    std::fprintf(stderr,
-                 "FATAL: tuned plan slower than heuristic plan: %.3f ms vs "
-                 "%.3f ms\n",
-                 tuned_ms, session_ms);
-    return 1;
-  }
-
   const double speedup = interp_ms / session_ms;
   const double fps_interp = 1000.0 / interp_ms * static_cast<double>(batch);
   const double fps_session = 1000.0 / session_ms * static_cast<double>(batch);
+  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf("apnn forward hot path, MiniResNet %lldx%lldx%lld w1a2, batch %lld\n",
               static_cast<long long>(hw), static_cast<long long>(hw),
@@ -368,10 +321,6 @@ int main(int argc, char** argv) {
               interp_ms, fps_interp);
   std::printf("  session run         : %8.2f ms  (%8.1f samples/s)\n",
               session_ms, fps_session);
-  std::printf("  tuned session run   : %8.2f ms  (%6.2fx vs heuristic, "
-              "%lld tuning runs)\n",
-              tuned_ms, tuned_vs_heuristic,
-              static_cast<long long>(tuning_runs));
   std::printf("  compile+run         : %8.2f ms\n", compile_run_ms);
   std::printf("  speedup             : %6.2fx\n", speedup);
   std::printf("  slab footprint      : %8.1f KiB over %zu slots (%zu steps)\n",
@@ -390,30 +339,23 @@ int main(int argc, char** argv) {
                "  \"batch\": %lld,\n  \"hw\": %lld,\n  \"in_c\": %lld,\n"
                "  \"classes\": %lld,\n"
                "  \"reps\": %d,\n"
+               "  \"hardware_threads\": %u,\n"
                "  \"bit_exact\": true,\n"
                "  \"interpreter_ms\": %.3f,\n"
                "  \"session_ms\": %.3f,\n"
-               "  \"tuned_session_ms\": %.3f,\n"
                "  \"compile_run_ms\": %.3f,\n"
                "  \"interpreter_fps\": %.1f,\n"
                "  \"session_fps\": %.1f,\n"
                "  \"slab_bytes\": %zu,\n"
                "  \"slots\": %zu,\n"
                "  \"steps\": %zu,\n"
-               "  \"tuning_runs\": %lld,\n"
-               "  \"warm_compile_runs\": %lld,\n"
-               "  \"speedup\": %.3f,\n"
-               "  \"tuned_speedup\": %.3f,\n"
-               "  \"tuned_vs_heuristic_speedup\": %.3f\n"
+               "  \"speedup\": %.3f\n"
                "}\n",
                static_cast<long long>(batch), static_cast<long long>(hw),
                static_cast<long long>(in_c), static_cast<long long>(classes),
-               reps, interp_ms, session_ms, tuned_ms, compile_run_ms,
+               reps, hw_threads, interp_ms, session_ms, compile_run_ms,
                fps_interp, fps_session, session.slab().capacity_bytes(),
-               session.slot_count(), session.step_count(),
-               static_cast<long long>(tuning_runs),
-               static_cast<long long>(warm_runs), speedup,
-               interp_ms / tuned_ms, tuned_vs_heuristic);
+               session.slot_count(), session.step_count(), speedup);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

@@ -18,10 +18,9 @@
 //     afterwards.
 //
 // The wall/latency figures are queueing metrics of an oversubscribed
-// loopback run, so they are spelled *_millis (presence-checked by
-// tools/check_bench.py, not ceiling-gated like the compute benches'
-// best-of-reps *_ms keys); exactness and the zero-drop drill are the hard
-// gates.
+// loopback run, so tools/check_bench.py only presence-checks them (info),
+// unlike the compute benches' ceiling-gated best-of-reps times; exactness
+// and the zero-drop drill are the hard gates.
 //
 // Usage: gateway_throughput [out.json] [requests_per_model] [clients_per_model]
 #include <algorithm>

@@ -14,11 +14,8 @@
 // session run — serving is bit-exact no matter which replica served which
 // batch mix.
 //
-// Autotuned serving (SessionOptions{autotune, cache} inside ServerOptions,
-// shared TuningCache across replicas, warm cold-starts from a cache file)
-// is exercised by `apnn_cli serve --autotune --cache plan.cache` and gated
-// in bench/serving_throughput. Multi-model serving over TCP lives in
-// tools/apnn_serve (docs/OPERATIONS.md).
+// Multi-model serving over TCP lives in tools/apnn_serve
+// (docs/OPERATIONS.md).
 #include <cstdio>
 #include <vector>
 

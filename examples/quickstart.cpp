@@ -32,7 +32,7 @@ int main() {
       core::make_operand(x_logical, core::Encoding::kUnsigned01, 2);
 
   // 2. Run APMM: the operator (AND + popc with the Case-III correction) is
-  //    selected from the encodings; tiling is autotuned.
+  //    selected from the encodings; tiling follows the §4.3.2 heuristic.
   const auto& dev = tcsim::rtx3090();
   const core::ApmmResult r = core::apmm(w, x, dev);
 

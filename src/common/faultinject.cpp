@@ -68,7 +68,7 @@ void point_slow(const char* site) {
 
 const std::vector<std::string>& known_sites() {
   static const std::vector<std::string> sites = {
-      kSessionRun, kReplicaDispatch, kAdmission, kCacheSave};
+      kSessionRun, kReplicaDispatch, kAdmission};
   return sites;
 }
 

@@ -42,7 +42,6 @@ class FaultInjected : public Error {
 inline constexpr const char* kSessionRun = "session.run";
 inline constexpr const char* kReplicaDispatch = "replica.dispatch";
 inline constexpr const char* kAdmission = "server.admission";
-inline constexpr const char* kCacheSave = "tuningcache.save";
 
 /// Every armable site name.
 const std::vector<std::string>& known_sites();

@@ -22,7 +22,6 @@ ApmmOptions as_apmm_options(const ApconvOptions& o) {
   ApmmOptions a;
   a.autotune = false;  // tile already resolved by apconv
   a.micro = o.micro;
-  a.combine_fast = o.combine_fast;
   a.batch_planes = o.batch_planes;
   a.double_caching = o.double_caching;
   a.fragment_caching = o.fragment_caching;
@@ -300,7 +299,6 @@ ApconvResult apconv(const ApOperand& w, const layout::PackedActivations& x,
         g.gemm_m(), g.gemm_n(), g.gemm_k(), w.bits(), x.bits, tile,
         win * win);
     fgeom.micro = opts.micro;
-    fgeom.combine_fast = opts.combine_fast;
     fgeom.pool = opts.pool;
     fgeom.sparsity = opts.sparsity_stats;
 

@@ -37,9 +37,8 @@ struct ApconvOptions {
   TileConfig tile;
   double tlp_threshold = 64.0;
 
-  /// Host-microkernel execution knobs; see ApmmOptions::micro.
+  /// Host-microkernel execution knob; see ApmmOptions::micro.
   microkernel::MicroConfig micro;
-  bool combine_fast = true;
 
   bool batch_planes = true;
   bool double_caching = true;

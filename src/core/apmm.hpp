@@ -48,12 +48,9 @@ struct ApmmOptions {
   TileConfig tile;
   double tlp_threshold = 64.0;
 
-  /// Host-microkernel execution knobs (k-strip depth, staging variant) and
-  /// the p=q=1 identity combine fast path. Results are bit-identical for
-  /// every setting; core::Autotuner measures candidates per stage and bakes
-  /// the fastest into the session plan.
+  /// Host-microkernel execution knob (sparse staging). Results are
+  /// bit-identical for every setting.
   microkernel::MicroConfig micro;
-  bool combine_fast = true;
 
   /// §4.1a batch strategy: one virtually batched BMMA vs p*q independent
   /// BMMA launches (the "existing BMMA kernels" baseline).
@@ -110,7 +107,7 @@ struct ApmmResult {
   /// path) for the cost model.
   tcsim::SequenceProfile profile;
 
-  /// The tile the kernel actually ran with (after autotuning).
+  /// The tile the kernel actually ran with (after heuristic selection).
   TileConfig tile;
 };
 

@@ -591,8 +591,7 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
 
     // Bit combination + epilogue for the block's output elements.
     if (!epi.has_quant) {
-      const bool fast =
-          g.combine_fast && g.p == 1 && g.q == 1 && epi.identity();
+      const bool fast = g.p == 1 && g.q == 1 && epi.identity();
       const std::int64_t cols = n_end - n0;
       for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
         const std::int64_t m = m0 + mo;

@@ -38,10 +38,9 @@ struct BatchedGeometry {
   std::int64_t ktiles;    ///< 128-bit k-slabs
   std::int64_t row_words;
 
-  /// Host-microkernel execution knobs (autotuner candidates). Neither field
-  /// changes results or launch records — only where bytes move.
+  /// Host-microkernel execution knob. It changes neither results nor launch
+  /// records — only where bytes move.
   microkernel::MicroConfig micro;
-  bool combine_fast = true;  ///< allow the p=q=1 identity combine fast path
 
   /// Pool the block loops run on; nullptr = ThreadPool::global(). Execution
   /// knob only — results and launch records are identical for every pool.

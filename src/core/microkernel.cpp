@@ -263,8 +263,6 @@ void rowblock_strip_sparse(const std::uint64_t* a_panel, std::int64_t rows8,
   }
 }
 
-constexpr bool kUseTransposedB = true;
-
 #elif defined(__AVX2__)
 
 // AVX2 flavor of the word-interleaved kernel: 256-bit vectors cover word w
@@ -385,11 +383,8 @@ void rowblock_strip_sparse(const std::uint64_t* a_panel, std::int64_t rows8,
   }
 }
 
-constexpr bool kUseTransposedB = true;
-
 #else
 
-constexpr bool kUseTransposedB = false;
 constexpr std::int64_t kColBlock = 8;
 
 #endif
@@ -431,15 +426,7 @@ void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
                         std::int32_t* acc, parallel::ScratchArena& arena,
                         const MicroConfig& micro, SparsityStats* stats) {
   const std::int64_t cols8 = b.rows();
-  const std::int64_t strip =
-      std::min<std::int64_t>(micro.effective_strip(), row_words);
-  // The transposed row-block kernel only exists on SIMD builds; kRowMajor
-  // forces the 8x8 tile path there (a tuning candidate — it wins when the
-  // per-column psadbw lanes are wasted on tiny column counts).
-  bool transposed = false;
-  if constexpr (kUseTransposedB) {
-    transposed = micro.staging != MicroConfig::Staging::kRowMajor;
-  }
+  const std::int64_t strip = std::min<std::int64_t>(kStripWords, row_words);
   // kAuto adaptivity: occupancy staging costs a few percent over memcpy
   // staging, so once a strip measures hopelessly dense (under half the gate
   // on the op's skip side) the remaining strips of this block stage dense.
@@ -454,7 +441,9 @@ void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
   const std::int64_t mw = build_occ ? occ_words(strip) : 0;
   std::uint64_t* a_panel = arena.get<std::uint64_t>(rows8 * strip);
   std::uint64_t* b_panel = arena.get<std::uint64_t>(cols8 * strip);
-  std::uint64_t* b_scratch = transposed && !b.direct_transpose()
+  // SIMD builds stage B word-interleaved for the row-block kernel; scalar
+  // builds stage it row-major for the 8x8 tile kernel.
+  std::uint64_t* b_scratch = kHasRowBlockKernel && !b.direct_transpose()
                                  ? arena.get<std::uint64_t>(cols8 * strip)
                                  : nullptr;
   // Occupancy buffers live alongside the panels: allocated once up front so
@@ -467,7 +456,7 @@ void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
   if (build_occ) {
     occ_a = arena.get<std::uint64_t>(rows8 * mw);
     occ_b = arena.get<std::uint64_t>(cols8 * mw);
-    if (transposed) {
+    if constexpr (kHasRowBlockKernel) {
       occ_gb = arena.get<std::uint64_t>((cols8 / kColBlock) * mw);
     } else {
       occ_ga = arena.get<std::uint64_t>((rows8 / 8) * mw);
@@ -500,35 +489,18 @@ void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
       stage_panel(a_rows, rows8, w0, wc, a_panel);
     }
     std::int64_t zero_b = 0;
-    if constexpr (kUseTransposedB) {
-      if (transposed) {
-        if (build_occ) {
-          zero_b = b.stage_transposed_occ(w0, wc, b_panel, b_scratch, occ_b);
-        } else {
-          b.stage_transposed(w0, wc, b_panel, b_scratch);
-        }
-        bool use_sparse = false;
-        if (build_occ) {
-          st_staged += (rows8 + cols8) * wc;
-          st_zero += zero_a + zero_b;
-          use_sparse = gate_sparse(zero_a, zero_b);
-        }
-        if (use_sparse) {
-          build_group_occ(occ_b, cols8, kColBlock, mwc, occ_gb);
-          rowblock_strip_sparse<Op>(a_panel, rows8, b_panel, cols8, wc, occ_a,
-                                    occ_gb, mwc, acc);
-          ++st_sparse;
-        } else {
-          rowblock_strip<Op>(a_panel, rows8, b_panel, cols8, wc, acc);
-          ++st_dense;
-        }
-        continue;
+    if constexpr (kHasRowBlockKernel) {
+      if (build_occ) {
+        zero_b = b.stage_transposed_occ(w0, wc, b_panel, b_scratch, occ_b);
+      } else {
+        b.stage_transposed(w0, wc, b_panel, b_scratch);
       }
-    }
-    if (build_occ) {
-      zero_b = b.stage_occ(w0, wc, b_panel, occ_b);
     } else {
-      b.stage(w0, wc, b_panel);
+      if (build_occ) {
+        zero_b = b.stage_occ(w0, wc, b_panel, occ_b);
+      } else {
+        b.stage(w0, wc, b_panel);
+      }
     }
     bool use_sparse = false;
     if (build_occ) {
@@ -536,13 +508,21 @@ void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
       st_zero += zero_a + zero_b;
       use_sparse = gate_sparse(zero_a, zero_b);
     }
-    if (use_sparse) {
+    ++(use_sparse ? st_sparse : st_dense);
+    if constexpr (kHasRowBlockKernel) {
+      if (use_sparse) {
+        build_group_occ(occ_b, cols8, kColBlock, mwc, occ_gb);
+        rowblock_strip_sparse<Op>(a_panel, rows8, b_panel, cols8, wc, occ_a,
+                                  occ_gb, mwc, acc);
+      } else {
+        rowblock_strip<Op>(a_panel, rows8, b_panel, cols8, wc, acc);
+      }
+    } else if (use_sparse) {
       // Run-sliced tile path: OR the 8 per-row masks of each tile on both
       // sides, then feed maximal runs of active words to the dense 8x8
       // kernel unchanged — acc is +=, so per-run calls compose exactly.
       build_group_occ(occ_a, rows8, 8, mwc, occ_ga);
       build_group_occ(occ_b, cols8, 8, mwc, occ_gb);
-      ++st_sparse;
       for (std::int64_t ii = 0; ii < rows8; ii += 8) {
         const std::uint64_t* ga = occ_ga + (ii / 8) * mwc;
         const std::uint64_t* a_tile = a_panel + ii * wc;
@@ -567,15 +547,14 @@ void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
           }
         }
       }
-      continue;
-    }
-    ++st_dense;
-    for (std::int64_t ii = 0; ii < rows8; ii += 8) {
-      const std::uint64_t* a_tile = a_panel + ii * wc;
-      std::int32_t* acc_row = acc + ii * cols8;
-      for (std::int64_t jj = 0; jj < cols8; jj += 8) {
-        tile_8x8_strip<Op>(a_tile, wc, b_panel + jj * wc, wc, wc,
-                           acc_row + jj, cols8);
+    } else {
+      for (std::int64_t ii = 0; ii < rows8; ii += 8) {
+        const std::uint64_t* a_tile = a_panel + ii * wc;
+        std::int32_t* acc_row = acc + ii * cols8;
+        for (std::int64_t jj = 0; jj < cols8; jj += 8) {
+          tile_8x8_strip<Op>(a_tile, wc, b_panel + jj * wc, wc, wc,
+                             acc_row + jj, cols8);
+        }
       }
     }
   }
@@ -596,7 +575,6 @@ void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
                    SparsityStats* stats) {
   APNN_DCHECK(rows8 % 8 == 0 && b.rows() % 8 == 0)
       << "tile dims must be multiples of 8: " << rows8 << "x" << b.rows();
-  APNN_DCHECK(micro.effective_strip() >= 1);
   if (rows8 == 0 || b.rows() == 0 || row_words == 0) return;
   if (op == tcsim::BitOp::kXor) {
     block_bitgemm_impl<tcsim::BitOp::kXor>(a_rows, rows8, b, row_words, acc,

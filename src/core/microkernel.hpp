@@ -47,9 +47,9 @@ namespace apnn::core::microkernel {
 /// tiles.
 inline constexpr std::int64_t kStripWords = 32;
 
-/// Compile-time SIMD flavor of the popcount kernels — part of the tuning
-/// cache's hardware fingerprint (measurements from one flavor must never be
-/// replayed under another).
+/// Compile-time SIMD flavor of the popcount kernels. SIMD builds have the
+/// word-interleaved row-block kernel and always stage B for it; scalar
+/// builds stage row-major for the 8x8 tile kernel.
 #if defined(__AVX512BW__)
 inline constexpr const char* kSimdFlavor = "avx512bw";
 inline constexpr bool kHasRowBlockKernel = true;
@@ -358,26 +358,11 @@ inline void tile_8x8_strip(tcsim::BitOp op, const std::uint64_t* a,
   }
 }
 
-/// Runtime-tunable execution knobs of block_bitgemm — the host analogue of
-/// the §4.3 device tiling parameters the paper tunes per layer. The defaults
-/// reproduce the historical fixed behavior; core::Autotuner measures
-/// alternatives per stage on the real operands and bakes the winner into the
-/// session's ExecutionPlan.
+/// Runtime execution knob of block_bitgemm. The k-strip depth is always
+/// kStripWords, and the staging layout is a build-time choice: SIMD builds
+/// stage B word-interleaved for the row-block kernel, scalar builds stage
+/// row-major for the 8x8 tile kernel.
 struct MicroConfig {
-  /// k-strip depth in 64-bit words (cache-blocking granularity); 0 selects
-  /// the kStripWords default. Small strips trade staging amortization for a
-  /// smaller cache footprint — which side wins depends on the stage's K and
-  /// on how many virtual rows a block stages.
-  std::int64_t strip_words = 0;
-
-  /// Which staging layout + inner-kernel pair runs the k-sweep.
-  enum class Staging {
-    kAuto,        ///< transposed row-block kernel when the build has SIMD
-    kTransposed,  ///< force the word-interleaved row-block kernel
-    kRowMajor,    ///< force row-major staging + the 8x8 tile kernel
-  };
-  Staging staging = Staging::kAuto;
-
   /// Data-sparsity fast path: zero-word occupancy maps built while panels
   /// stage, consulted by skip-zero popcount kernels. Bit-exact for every
   /// setting — a skipped word contributes exactly zero to the accumulator
@@ -390,15 +375,6 @@ struct MicroConfig {
     kOff,   ///< dense sweep, no occupancy build (pre-sparsity behavior)
   };
   Sparse sparse_staging = Sparse::kAuto;
-
-  std::int64_t effective_strip() const {
-    return strip_words > 0 ? strip_words : kStripWords;
-  }
-
-  bool operator==(const MicroConfig& o) const {
-    return strip_words == o.strip_words && staging == o.staging &&
-           sparse_staging == o.sparse_staging;
-  }
 };
 
 /// Cumulative data-sparsity observations of the staged k-sweeps — how often
@@ -599,11 +575,10 @@ class RowPointerSource final : public PanelSource {
 /// (rows8 entries, a multiple of 8; nullptr = zero row) and B panel source
 /// (rows() a multiple of 8), accumulates
 ///   acc[i * b.rows() + j] += sum_{w < row_words} popc(op(a_i[w], b_j[w]))
-/// walking k in micro.effective_strip() strips, staging each strip once,
-/// and invoking the inner kernel micro selects per output tile. All
-/// temporaries come from `arena` (valid until the caller's next reset()).
-/// The result is bit-identical for every MicroConfig — the knobs only move
-/// bytes. `stats`, when given, receives this call's locally summed sparsity
+/// walking k in kStripWords strips, staging each strip once, and invoking
+/// the build's inner kernel per output tile. All temporaries come from
+/// `arena` (valid until the caller's next reset()). The result is
+/// bit-identical for every MicroConfig — the knob only moves bytes. `stats`, when given, receives this call's locally summed sparsity
 /// counters (one atomic add per counter per call).
 void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
                    std::int64_t rows8, const PanelSource& b,

@@ -2,15 +2,6 @@
 
 namespace apnn::core {
 
-const char* emulation_case_name(EmulationCase kind) {
-  switch (kind) {
-    case EmulationCase::kCaseI: return "I";
-    case EmulationCase::kCaseII: return "II";
-    case EmulationCase::kCaseIII: return "III";
-  }
-  return "?";
-}
-
 OpSelection select_operator(const EncodingConfig& enc) {
   OpSelection sel;
   const bool w_signed_pm1 = enc.w == Encoding::kSignedPM1;

@@ -30,11 +30,6 @@ enum class Encoding {
 
 enum class EmulationCase { kCaseI, kCaseII, kCaseIII };
 
-/// Stable short name ("I", "II", "III") — used by the tuning-cache key
-/// schema and diagnostics; never reorder the enum without bumping the cache
-/// schema version (core::TuningCache).
-const char* emulation_case_name(EmulationCase kind);
-
 struct OpSelection {
   EmulationCase kind = EmulationCase::kCaseI;
   tcsim::BitOp bit_op = tcsim::BitOp::kAnd;

@@ -95,56 +95,4 @@ TileConfig clamp_tile_rows(TileConfig t, std::int64_t m, int p) {
   return t;
 }
 
-std::vector<TileConfig> ranked_tiles(std::int64_t m, std::int64_t n,
-                                     std::int64_t k, int p, int q,
-                                     const tcsim::DeviceSpec& dev,
-                                     std::size_t max_tiles,
-                                     double tlp_threshold) {
-  // The heuristic's own pick leads the list: the measuring caller then
-  // degrades to exactly the heuristic plan when nothing beats it.
-  const TileConfig head =
-      clamp_tile_rows(autotune_tile(m, n, k, p, q, dev, tlp_threshold).tile,
-                      m, p);
-
-  static constexpr int kSizes[] = {16, 32, 64, 128};
-  struct Candidate {
-    TileConfig tile;
-    double tlp_v;
-    double ci_v;
-  };
-  std::vector<Candidate> cands;
-  for (int bm : kSizes) {
-    for (int bn : kSizes) {
-      TileConfig t;
-      t.bm = bm;
-      t.bn = bn;
-      t.bk = 128;
-      assign_warp_grid(t);
-      if (t.shmem_bytes() > dev.shmem_per_sm) continue;
-      t = clamp_tile_rows(t, m, p);
-      cands.push_back({t, tlp(m, n, p, q, t), compute_intensity(t)});
-    }
-  }
-  std::sort(cands.begin(), cands.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.tlp_v != b.tlp_v) return a.tlp_v > b.tlp_v;
-              if (a.ci_v != b.ci_v) return a.ci_v > b.ci_v;
-              if (a.tile.bm != b.tile.bm) return a.tile.bm < b.tile.bm;
-              return a.tile.bn < b.tile.bn;
-            });
-
-  std::vector<TileConfig> out{head};
-  auto seen = [&out](const TileConfig& t) {
-    for (const TileConfig& o : out) {
-      if (o.bm == t.bm && o.bn == t.bn) return true;
-    }
-    return false;
-  };
-  for (const Candidate& c : cands) {
-    if (!seen(c.tile)) out.push_back(c.tile);
-  }
-  if (max_tiles > 0 && out.size() > max_tiles) out.resize(max_tiles);
-  return out;
-}
-
 }  // namespace apnn::core

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/tcsim/device_spec.hpp"
 
@@ -62,19 +61,7 @@ void assign_warp_grid(TileConfig& t);
 
 /// Clamps bm to the stage's virtual row count (m * p, rounded up to 16) so
 /// short-M stages stop staging padded zero A rows — the plan-time
-/// refinement InferenceSession applies on top of the heuristic, shared with
-/// the autotuner's candidate generation.
+/// refinement InferenceSession applies on top of the heuristic.
 TileConfig clamp_tile_rows(TileConfig t, std::int64_t m, int p);
-
-/// Candidate pruner for the empirical autotuner: the full bm x bn grid,
-/// clamped and deduplicated, ordered by the §4.3.2 priority (TLP
-/// descending, CI, then size — the heuristic's own pick is always front).
-/// `max_tiles` caps the list (0 = no cap). perf_model thus proposes;
-/// core::Autotuner measures and disposes.
-std::vector<TileConfig> ranked_tiles(std::int64_t m, std::int64_t n,
-                                     std::int64_t k, int p, int q,
-                                     const tcsim::DeviceSpec& dev,
-                                     std::size_t max_tiles = 0,
-                                     double tlp_threshold = 64.0);
 
 }  // namespace apnn::core

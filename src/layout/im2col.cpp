@@ -176,8 +176,9 @@ std::int64_t WindowGatherSource::stage_transposed_occ(
   const int q = x_->bits;
   const std::int64_t mw = core::microkernel::occ_words(words);
   std::memset(occ, 0, static_cast<std::size_t>(nrows8_ * mw) * sizeof(*occ));
-  // The gather buffer is a fixed stack array; wider (autotuned) strips are
-  // processed in kStripWords-sized sub-chunks rather than overrunning it.
+  // The gather buffer is a fixed stack array; strips wider than kStripWords
+  // (direct callers) are processed in kStripWords-sized sub-chunks rather
+  // than overrunning it.
   std::uint64_t row_buf[core::microkernel::kStripWords];
   for (std::int64_t c0 = 0; c0 < words; c0 += core::microkernel::kStripWords) {
     const std::int64_t cw =

@@ -31,13 +31,6 @@ std::int64_t parse_int(const std::string& v, int lineno, const char* key) {
   return x;
 }
 
-bool parse_bool(const std::string& v, int lineno, const char* key) {
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw Error(strf("config line %d: %s = '%s' is not a boolean", lineno, key,
-                   v.c_str()));
-}
-
 ServerOptions::Admission admission_for(const std::string& s) {
   if (s == "block") return ServerOptions::Admission::kBlock;
   if (s == "reject") return ServerOptions::Admission::kReject;
@@ -137,10 +130,6 @@ GatewayConfig parse_gateway_config(const std::string& text) {
       cur->batch_window_us = parse_int(value, lineno, "batch_window_us");
       APNN_CHECK(cur->batch_window_us >= 0)
           << "config line " << lineno << ": batch_window_us must be >= 0";
-    } else if (key == "autotune") {
-      cur->autotune = parse_bool(value, lineno, "autotune");
-    } else if (key == "cache_path") {
-      cur->cache_path = value;
     } else {
       throw Error(
           strf("config line %d: unknown model key '%s'", lineno, key.c_str()));
@@ -224,18 +213,6 @@ std::shared_ptr<ModelRegistry::Entry> ModelRegistry::make_entry(
     opts.replicas = topo.replicas;
     opts.slice_threads = topo.slice_threads;
 
-    if (c.autotune) {
-      // The cache fingerprint carries the slice width the replica sessions
-      // measure on, so it must be built after the topology is resolved.
-      entry->cache = std::make_unique<core::TuningCache>(
-          static_cast<unsigned>(topo.slice_threads));
-      if (!c.cache_path.empty()) {
-        entry->cache->load_file(c.cache_path);  // cold tuning on any failure
-      }
-      opts.session.autotune = true;
-      opts.session.cache = entry->cache.get();
-    }
-
     entry->server = std::make_unique<InferenceServer>(*entry->net, dev_, opts);
   } catch (const wire::RemoteError&) {
     throw;
@@ -244,9 +221,6 @@ std::shared_ptr<ModelRegistry::Entry> ModelRegistry::make_entry(
         wire::WireError::kModelLoadFailed,
         strf("model '%s' from %s: %s", c.id.c_str(), c.path.c_str(),
              e.what()));
-  }
-  if (c.autotune && !c.cache_path.empty()) {
-    entry->cache->save_file(c.cache_path);  // best-effort persistence
   }
   return entry;
 }
@@ -265,7 +239,7 @@ void ModelRegistry::load(const ModelConfig& cfg) {
     }
     generation = next_generation_++;
   }
-  // Build outside the lock — compiles replicas, possibly tunes.
+  // Build outside the lock — compiles replicas.
   std::shared_ptr<Entry> entry = make_entry(cfg, generation);
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [mid, existing] : models_) {

@@ -10,8 +10,7 @@
 // InferenceServer::derive_topology against a per-model thread budget of
 // hw_threads / expected_models (floor 1), then passes the resolved
 // replicas × slice_threads explicitly, so the sum across co-resident models
-// stays within the machine and the tuning-cache fingerprint carries the
-// slice width the sessions actually execute with.
+// stays within the machine.
 //
 // Hot lifecycle: load/unload/reload swap a shared_ptr<Entry> under a small
 // lock; in-flight infer() calls hold a snapshot of the entry they routed
@@ -30,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/autotune.hpp"
 #include "src/nn/protocol.hpp"
 #include "src/nn/server.hpp"
 
@@ -48,9 +46,6 @@ struct ModelConfig {
   std::int64_t max_queue = 0;          ///< 0 = server default
   std::string admission = "block";     ///< block | reject | degrade
   std::int64_t batch_window_us = 500;  ///< micro-batch formation window
-
-  bool autotune = false;
-  std::string cache_path;  ///< optional persistent TuningCache
 };
 
 /// Top-level gateway configuration (the ini file's unsectioned keys plus
@@ -139,8 +134,7 @@ class ModelRegistry {
  private:
   /// A loaded model. Member order is destruction order in reverse: the
   /// server dies first (drains, joins its replicas), then the network it
-  /// reads, then the tuning cache its sessions may still consult while
-  /// draining.
+  /// reads.
   struct Entry {
     ModelConfig cfg;
     std::uint32_t generation = 0;
@@ -148,7 +142,6 @@ class ModelRegistry {
     std::uint32_t classes = 0;
     /// Largest sequence bucket (0 = shape-static model).
     std::int64_t max_seq_bucket = 0;
-    std::unique_ptr<core::TuningCache> cache;
     std::unique_ptr<ApnnNetwork> net;
     std::unique_ptr<InferenceServer> server;
   };

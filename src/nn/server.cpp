@@ -82,29 +82,12 @@ InferenceServer::InferenceServer(const ApnnNetwork& net,
   }
   opts_.degrade_high_water =
       std::min(opts_.degrade_high_water, opts_.max_queue);
-  if (opts_.session.autotune) {
-    if (opts_.session.cache == nullptr) {
-      // One server-owned cache shared by every replica: without it each
-      // session would keep a private cache and re-measure the same stages —
-      // and every replica restart would re-tune from scratch. Keyed to the
-      // slice width: measurements run on slice-wide pools, so the cache
-      // fingerprint must say t<slice>, not the global pool's width.
-      owned_cache_ = std::make_unique<core::TuningCache>(
-          static_cast<unsigned>(opts_.slice_threads));
-      opts_.session.cache = owned_cache_.get();
-    }
-    if (opts_.session.tune_batch == 0) {
-      opts_.session.tune_batch = opts_.max_batch;
-    }
-  }
 
   stats_.replica_batches.assign(static_cast<std::size_t>(opts_.replicas), 0);
   stats_.replica_requests.assign(static_cast<std::size_t>(opts_.replicas), 0);
 
   // Build each replica's private pool slice, then compile its session on
-  // that slice. Compilation is sequential — with a shared TuningCache,
-  // replica 0's eager tune_batch measurements make replicas 1..N-1 compile
-  // warm — and the dispatchers and monitor start only once the replica
+  // that slice. The dispatchers and monitor start only once the replica
   // vector is final.
   replicas_.resize(static_cast<std::size_t>(opts_.replicas));
   const int slice = opts_.slice_threads;
@@ -384,7 +367,7 @@ Tensor<std::int32_t> InferenceServer::infer(
 
 SessionOptions InferenceServer::session_options_for(
     std::size_t replica_index) const {
-  SessionOptions so = opts_.session;
+  SessionOptions so;
   so.pool = replicas_[replica_index].pool.get();
   return so;
 }
@@ -612,8 +595,7 @@ void InferenceServer::monitor_loop() {
       if (rep.exited) {
         // The dispatcher retired (crash, or stuck-then-completed). Join it
         // and recompile outside the lock — a restart must not stall
-        // admission or the other replicas. A shared warm TuningCache makes
-        // the recompile measurement-free.
+        // admission or the other replicas.
         rep.exited = false;
         rep.health = ReplicaHealth::kRestarting;
         ++rep.crashes;
@@ -711,18 +693,6 @@ InferenceServer::Stats InferenceServer::stats() const {
     s.replica_health.push_back(r.health);
   }
   return s;
-}
-
-std::int64_t InferenceServer::tuning_measurements() const {
-  std::int64_t total = 0;
-  for (const Replica& r : replicas_) total += r.session->tuning_measurements();
-  return total;
-}
-
-std::int64_t InferenceServer::replica_tuning_measurements(int replica) const {
-  APNN_CHECK(replica >= 0 && replica < replicas());
-  return replicas_[static_cast<std::size_t>(replica)]
-      .session->tuning_measurements();
 }
 
 }  // namespace apnn::nn

@@ -12,8 +12,7 @@
 // (DESIGN.md §10), so replicas never share mutable kernel state and never
 // oversubscribe a global pool N×; the only cross-replica state is the
 // admission queue, the WorkStealGroup that lets idle slices absorb a
-// sibling's queued loop chunks, the (thread-safe) TuningCache when
-// autotuning is on, and the const network weights.
+// sibling's queued loop chunks, and the const network weights.
 //
 // Request lifecycle (DESIGN.md §9 has the full state machine):
 //
@@ -184,15 +183,6 @@ struct ServerOptions {
   /// Crashes (escaped dispatch exceptions or stuck declarations) a replica
   /// may accumulate before it is quarantined instead of restarted.
   int max_replica_restarts = 2;
-
-  /// Compile options applied to every replica's session. When
-  /// `session.autotune` is set and `session.cache` is null the server owns
-  /// one TuningCache shared across replicas (first replica measures, the
-  /// rest compile warm); when `session.tune_batch` is 0 it defaults to
-  /// max_batch so the full-batch plan is tuned before serving starts.
-  /// Replica restarts recompile with the same options, so a restart with a
-  /// warm cache never re-measures.
-  SessionOptions session;
 };
 
 class InferenceServer {
@@ -205,8 +195,7 @@ class InferenceServer {
 
   /// Compiles one session per replica for `net` (must be calibrated and
   /// outlive the server) and starts the dispatcher threads plus the health
-  /// monitor. Replicas are compiled sequentially so a shared TuningCache is
-  /// warm from the second replica on.
+  /// monitor.
   InferenceServer(const ApnnNetwork& net, const tcsim::DeviceSpec& dev,
                   ServerOptions opts = {});
   /// Stops admission, drains queued requests, then stops the dispatchers.
@@ -287,9 +276,8 @@ class InferenceServer {
     int replicas = 1;
     int slice_threads = 1;
   };
-  /// The joint replica-count / slice-width derivation, exposed for tests
-  /// and the CLI (which needs the slice width before constructing a
-  /// TuningCache). Rules, with hw = max(1, hw_threads):
+  /// The joint replica-count / slice-width derivation, exposed for tests.
+  /// Rules, with hw = max(1, hw_threads):
   ///   both 0        -> replicas = clamp(hw/2, 1, 8), slice = hw/replicas
   ///   replicas set  -> slice = max(1, hw/replicas)
   ///   slice set     -> replicas = clamp(hw/slice, 1, 8)
@@ -299,11 +287,6 @@ class InferenceServer {
   /// default).
   static Topology derive_topology(const ServerOptions& opts,
                                   unsigned hw_threads);
-
-  /// Measurement runs the pool performed, total and per replica. With a
-  /// warm shared cache every entry is 0; cold, only replica 0's is not.
-  std::int64_t tuning_measurements() const;
-  std::int64_t replica_tuning_measurements(int replica) const;
 
  private:
   /// One in-flight request. Shared between the admitting client, the queue,
@@ -358,7 +341,7 @@ class InferenceServer {
     int crashes = 0;
   };
 
-  /// opts_.session with `pool` pointed at replica_index's private slice —
+  /// Session options with `pool` pointed at replica_index's private slice —
   /// used for the initial compiles and every monitor restart recompile, so
   /// a restarted replica always lands back on its own pool.
   SessionOptions session_options_for(std::size_t replica_index) const;
@@ -385,8 +368,7 @@ class InferenceServer {
   /// session's plan family so admission can resolve a request's bucket
   /// without touching a replica.
   std::vector<std::int64_t> seq_buckets_;
-  ServerOptions opts_;  ///< resolved: replicas/max_queue/tune_batch filled in
-  std::unique_ptr<core::TuningCache> owned_cache_;  ///< see ServerOptions
+  ServerOptions opts_;  ///< resolved: replicas/max_queue filled in
   /// Stealing membership for the replica pools. Declared before replicas_
   /// so it outlives every pool (a destructing pool deregisters itself).
   WorkStealGroup steal_group_;

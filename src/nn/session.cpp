@@ -358,10 +358,10 @@ struct InferenceSession::Plan {
 
   /// Batch-dependent step state, resolved once per distinct batch size and
   /// cached (the dynamic-batching server alternates sizes every run; a
-  /// single-entry cache would re-run autotune — and allocate — each time).
+  /// single-entry cache would re-resolve tiles — and allocate — each time).
   struct ResolvedBatch {
     std::vector<layout::ConvGeometry> geom;  ///< per step (kConv only)
-    std::vector<core::TunedKernel> kern;     ///< per step (kConv/kLinear)
+    std::vector<core::TileConfig> tile;      ///< per step (GEMM steps only)
   };
 
   /// This plan's bucketed view of the network: the spec with input.h set to
@@ -927,99 +927,62 @@ InferenceSession::Plan& InferenceSession::default_plan() const {
 namespace {
 
 /// Resolves the batch-dependent step state (conv geometries, per-stage
-/// kernel configs) once per distinct batch size; later runs at an
-/// already-seen batch are pure map lookups (no tuning, no allocations).
+/// tiles) once per distinct batch size; later runs at an already-seen batch
+/// are pure map lookups (no allocations).
 ///
-/// With `tuner` set, each stage's config comes from an empirical
-/// measurement sweep (core::Autotuner) — or straight from its TuningCache
-/// when the stage signature was measured before. Without a tuner this is
-/// the heuristic plan: the §4.3.2 pick with bm clamped to the stage's
+/// Every tile is the §4.3.2 heuristic pick with bm clamped to the stage's
 /// virtual row count (short-M stages stop staging padded zero A-rows —
 /// e.g. the 8-channel stem, a small classifier head; the kernel result is
 /// bit-exact for any tile).
 const InferenceSession::Plan::ResolvedBatch& resolve_batch(
     const ApnnNetwork& net, const tcsim::DeviceSpec& dev,
-    InferenceSession::Plan& plan, std::int64_t batch,
-    core::Autotuner* tuner) {
+    InferenceSession::Plan& plan, std::int64_t batch) {
   const auto it = plan.resolved.find(batch);
   if (it != plan.resolved.end()) return it->second;
 
   InferenceSession::Plan::ResolvedBatch rb;
   rb.geom.resize(plan.steps.size());
-  rb.kern.resize(plan.steps.size());
+  rb.tile.resize(plan.steps.size());
   const auto heuristic = [&](std::int64_t m, std::int64_t n, std::int64_t k,
                              int p, int q) {
-    core::TunedKernel kern;
-    kern.tile = core::clamp_tile_rows(
-        core::autotune_tile(m, n, k, p, q, dev).tile, m, p);
-    return kern;
+    return core::clamp_tile_rows(core::autotune_tile(m, n, k, p, q, dev).tile,
+                                 m, p);
   };
   for (std::size_t si = 0; si < plan.steps.size(); ++si) {
     const auto& s = plan.steps[si];
     if (s.kind == StepKind::kConv) {
       const ApnnStage& st = net.stages()[s.stage];
-      rb.geom[si] = conv_geometry(plan.spec, plan.shapes, s.layer, batch);
-      if (tuner != nullptr) {
-        rb.kern[si] =
-            tuner->tune_apconv(st.weights, rb.geom[si], st.in_bits,
-                               st.in_enc, st.epilogue, st.pool);
-      } else {
-        rb.kern[si].tile = core::clamp_tile_rows(
-            core::autotune_tile(rb.geom[si].gemm_m(), rb.geom[si].gemm_n(),
-                                rb.geom[si].gemm_k(), st.weights.bits(),
-                                st.in_bits, dev)
-                .tile,
-            rb.geom[si].gemm_m(), st.weights.bits());
-      }
+      const layout::ConvGeometry& g = rb.geom[si] =
+          conv_geometry(plan.spec, plan.shapes, s.layer, batch);
+      rb.tile[si] = heuristic(g.gemm_m(), g.gemm_n(), g.gemm_k(),
+                              st.weights.bits(), st.in_bits);
     } else if (s.kind == StepKind::kLinear) {
       const ApnnStage& st = net.stages()[s.stage];
-      if (tuner != nullptr) {
-        rb.kern[si] = tuner->tune_apmm(st.weights, batch, st.in_bits,
-                                       st.in_enc, st.epilogue);
-      } else {
-        rb.kern[si] = heuristic(st.weights.rows(), batch, st.weights.cols(),
-                                st.weights.bits(), st.in_bits);
-      }
+      rb.tile[si] = heuristic(st.weights.rows(), batch, st.weights.cols(),
+                              st.weights.bits(), st.in_bits);
     } else if (s.kind == StepKind::kAttnProj ||
                s.kind == StepKind::kAttnOut) {
-      // Token-count GEMMs: N is batch * bucket, so the tuning key carries
-      // the plan's bucket — each bucket of the family tunes (and caches)
-      // independently.
+      // Token-count GEMMs: N is batch * bucket.
       const ApnnStage& st = net.stages()[s.stage];
       const bool is_out = s.kind == StepKind::kAttnOut;
       const core::ApOperand& w =
           is_out ? st.attn_wo : attn_proj_weights(st, s.aux);
-      core::Epilogue epi;
-      if (is_out) {
-        epi = st.epilogue;
-      } else {
-        epi.has_relu = true;
-        epi.has_quant = true;
-        epi.quant = attn_proj_quant(st, s.aux);
-      }
       const int in_bits = is_out ? st.epilogue.quant.bits : st.in_bits;
       const std::int64_t n =
           batch * plan.values[static_cast<std::size_t>(s.out)].h;
-      if (tuner != nullptr) {
-        rb.kern[si] = tuner->tune_apmm(w, n, in_bits, Encoding::kUnsigned01,
-                                       epi, /*seq=*/plan.bucket);
-      } else {
-        rb.kern[si] = heuristic(w.rows(), n, w.cols(), w.bits(), in_bits);
-      }
+      rb.tile[si] = heuristic(w.rows(), n, w.cols(), w.bits(), in_bits);
     } else if (s.kind == StepKind::kAttnScores ||
                s.kind == StepKind::kAttnContext) {
-      // Per-(sample, head) GEMMs on freshly staged operands: heuristic
-      // tiles only — empirical measurement would key on staging scratch,
-      // not a stage weight operand.
+      // Per-(sample, head) GEMMs on freshly staged operands.
       const auto& out = plan.values[static_cast<std::size_t>(s.out)];
       const std::int64_t seq = out.h;
       const std::int64_t dh =
           plan.spec.layers[s.layer].attn.d_head;
       const int abits = out.bits;
       if (s.kind == StepKind::kAttnScores) {
-        rb.kern[si] = heuristic(seq, seq, dh, abits, abits);
+        rb.tile[si] = heuristic(seq, seq, dh, abits, abits);
       } else {
-        rb.kern[si] = heuristic(seq, dh, seq, abits, abits);
+        rb.tile[si] = heuristic(seq, dh, seq, abits, abits);
       }
     }
   }
@@ -1060,32 +1023,6 @@ InferenceSession::InferenceSession(const ApnnNetwork& net,
     plans_.push_back(std::move(plan));
   }
   slab_.require(max_slots);
-
-  if (opts_.autotune) {
-    core::TuningCache* cache = opts_.cache;
-    if (cache == nullptr) {
-      owned_cache_ = std::make_unique<core::TuningCache>();
-      cache = owned_cache_.get();
-    }
-    tuner_ = std::make_unique<core::Autotuner>(dev_, cache, opts_.tuner,
-                                               opts_.pool);
-    if (opts_.tune_batch > 0) {
-      // Warm every plan of the family: serving mixed-length traffic must
-      // never pay a tuning burst per request.
-      for (const auto& plan : plans_) {
-        resolve_batch(net_, dev_, *plan, opts_.tune_batch, tuner_.get());
-      }
-    }
-  }
-}
-
-std::int64_t InferenceSession::tuning_measurements() const {
-  return tuner_ != nullptr ? tuner_->measurement_runs() : 0;
-}
-
-std::vector<core::TunedKernel> InferenceSession::stage_kernels(
-    std::int64_t batch) {
-  return resolve_batch(net_, dev_, default_plan(), batch, tuner_.get()).kern;
 }
 
 void InferenceSession::validate_sample(const ActShape& shape,
@@ -1221,7 +1158,7 @@ void InferenceSession::run_plan(Plan& plan,
   // replica's private slice under the server; the global pool otherwise).
   ThreadPool& tp = opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
   const Plan::ResolvedBatch& rb =
-      resolve_batch(net_, dev_, plan, batch, tuner_.get());
+      resolve_batch(net_, dev_, plan, batch);
 
   auto slot_of = [&](int vid) -> parallel::SlabSlot& {
     const auto& v = plan.values[static_cast<std::size_t>(vid)];
@@ -1253,9 +1190,7 @@ void InferenceSession::run_plan(Plan& plan,
         const ApnnStage& st = net_.stages()[step.stage];
         core::ApconvOptions o;
         o.autotune = false;
-        o.tile = rb.kern[si].tile;
-        o.micro = rb.kern[si].micro;
-        o.combine_fast = rb.kern[si].combine_fast;
+        o.tile = rb.tile[si];
         o.collect_profile = prof != nullptr;
         o.pool = opts_.pool;
         core::microkernel::SparsityStats sstats;
@@ -1311,9 +1246,7 @@ void InferenceSession::run_plan(Plan& plan,
 
         core::ApmmOptions o;
         o.autotune = false;
-        o.tile = rb.kern[si].tile;
-        o.micro = rb.kern[si].micro;
-        o.combine_fast = rb.kern[si].combine_fast;
+        o.tile = rb.tile[si];
         o.collect_profile = prof != nullptr;
         o.pool = opts_.pool;
         core::microkernel::SparsityStats sstats;
@@ -1487,9 +1420,7 @@ void InferenceSession::run_plan(Plan& plan,
 
         core::ApmmOptions o;
         o.autotune = false;
-        o.tile = rb.kern[si].tile;
-        o.micro = rb.kern[si].micro;
-        o.combine_fast = rb.kern[si].combine_fast;
+        o.tile = rb.tile[si];
         o.collect_profile = prof != nullptr;
         o.pool = opts_.pool;
         o.packed_out = &slot_of(step.out).planes;
@@ -1526,7 +1457,7 @@ void InferenceSession::run_plan(Plan& plan,
           kop.planes = std::move(s1.planes);
           core::ApmmOptions o;
           o.autotune = false;
-          o.tile = rb.kern[si].tile;
+          o.tile = rb.tile[si];
           o.collect_profile = prof != nullptr;
           o.pool = opts_.pool;
           o.y_out = &s0.dense;  // raw seq x seq scores
@@ -1580,7 +1511,7 @@ void InferenceSession::run_plan(Plan& plan,
           xop.planes = std::move(s2.planes);
           core::ApmmOptions o;
           o.autotune = false;
-          o.tile = rb.kern[si].tile;
+          o.tile = rb.tile[si];
           o.collect_profile = prof != nullptr;
           o.pool = opts_.pool;
           o.y_out = &s1.dense;  // raw seq x d_head context
@@ -1625,9 +1556,7 @@ void InferenceSession::run_plan(Plan& plan,
         xop.planes = std::move(s0.planes);
         core::ApmmOptions o;
         o.autotune = false;
-        o.tile = rb.kern[si].tile;
-        o.micro = rb.kern[si].micro;
-        o.combine_fast = rb.kern[si].combine_fast;
+        o.tile = rb.tile[si];
         o.collect_profile = prof != nullptr;
         o.pool = opts_.pool;
         o.packed_out = &slot_of(step.out).planes;

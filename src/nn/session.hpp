@@ -35,7 +35,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/autotune.hpp"
 #include "src/nn/apnn_network.hpp"
 #include "src/parallel/slab.hpp"
 #include "src/tcsim/device_spec.hpp"
@@ -45,32 +44,10 @@ namespace apnn::nn {
 
 /// Compile-time behavior of an InferenceSession.
 struct SessionOptions {
-  /// Empirical plan-time autotuning (core::Autotuner): per-stage kernel
-  /// geometries are measured on the real operand shapes instead of trusting
-  /// the §4.3.2 heuristic. Off by default — tuning costs a burst of
-  /// measurement runs per (stage, batch) unless `cache` already holds the
-  /// winners.
-  bool autotune = false;
-
-  /// Optional persistent tuning cache, shared across sessions/processes via
-  /// TuningCache::{load,save}_file. Non-owning; must outlive the session.
-  /// When null and autotune is on, the session keeps a private cache (warm
-  /// within the session only).
-  core::TuningCache* cache = nullptr;
-
-  /// When > 0 (and autotune is on), the constructor eagerly resolves — and
-  /// tunes — this batch size, so the first run() at that size pays no
-  /// tuning latency. Other batch sizes tune lazily on first use.
-  std::int64_t tune_batch = 0;
-
-  core::AutotuneOptions tuner;
-
   /// Pool every kernel and glue loop of this session runs on; nullptr =
   /// ThreadPool::global(). Non-owning — must outlive the session. The
   /// replicated InferenceServer gives each replica's session a private pool
-  /// slice so N replicas never oversubscribe the global pool N×; autotune
-  /// measurements run on the same pool so tuned winners reflect the slice
-  /// width the session actually executes with.
+  /// slice so N replicas never oversubscribe the global pool N×.
   ThreadPool* pool = nullptr;
 };
 
@@ -92,9 +69,8 @@ class InferenceSession {
   /// entirely when it is null). Not thread-safe: one run at a time per
   /// session. Distinct sessions over the same (const) network may run
   /// concurrently — they share only their execution pool (the global pool,
-  /// or per-session slices via SessionOptions::pool) and, when configured, a
-  /// TuningCache, both of which tolerate concurrent callers; the replicated
-  /// InferenceServer relies on this.
+  /// or per-session slices via SessionOptions::pool), which tolerates
+  /// concurrent callers; the replicated InferenceServer relies on this.
   void run(const Tensor<std::int32_t>& input_u8, Tensor<std::int32_t>* logits,
            tcsim::SequenceProfile* prof = nullptr);
 
@@ -139,16 +115,6 @@ class InferenceSession {
   /// bucket otherwise).
   std::size_t plan_count() const;
 
-  /// Candidate measurement executions this session's autotuner has
-  /// performed (0 with autotuning off, or when every stage resolution hit
-  /// the TuningCache — the warm-cache fast path the tests pin).
-  std::int64_t tuning_measurements() const;
-
-  /// Resolved per-step kernel choices for `batch` (tuning it first if that
-  /// batch has not been seen): one entry per plan step; steps that are not
-  /// conv/linear stages carry default-constructed entries.
-  std::vector<core::TunedKernel> stage_kernels(std::int64_t batch);
-
  private:
   /// The plan serving `seq_len` tokens: smallest bucket >= seq_len. Throws
   /// when seq_len exceeds the largest bucket.
@@ -162,8 +128,6 @@ class InferenceSession {
   const ApnnNetwork& net_;
   tcsim::DeviceSpec dev_;
   SessionOptions opts_;
-  std::unique_ptr<core::TuningCache> owned_cache_;
-  std::unique_ptr<core::Autotuner> tuner_;
   /// Plan family, ascending by bucket (a single entry for fixed shapes).
   std::vector<std::unique_ptr<Plan>> plans_;
   /// One slab shared by every plan (slots sized to the largest plan).

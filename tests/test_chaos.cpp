@@ -1,7 +1,7 @@
 // Fault-injection drills for the deadline-aware request lifecycle and the
 // self-healing replica pool (runs in CI under TSan with every site armed):
 //   * every faultinject site is driven: session.run, replica.dispatch,
-//     server.admission, tuningcache.save;
+//     server.admission;
 //   * an injected replica crash fails exactly the requests that replica
 //     held (typed kReplicaFailed), the monitor restarts the replica, and
 //     every non-injected request before/after is served bit-exact;
@@ -14,22 +14,17 @@
 //   * Admission::kDegrade sheds oldest-first instead of blocking and exits
 //     degraded mode once the backlog drains;
 //   * shutdown racing deadline expiry never strands or double-completes a
-//     request;
-//   * a TuningCache save that dies mid-persist never clobbers the previous
-//     cache file, and a corrupt cache file degrades to cold tuning.
+//     request.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/faultinject.hpp"
-#include "src/core/autotune.hpp"
 #include "src/nn/apnn_network.hpp"
 #include "src/nn/model.hpp"
 #include "src/nn/server.hpp"
@@ -395,84 +390,6 @@ TEST_F(ChaosTest, ShutdownRacingDeadlineExpiryNeverStrandsAClient) {
     server.shutdown();  // drain races the 1 ms deadlines (and late arrivals)
     for (auto& t : clients) t.join();
   }
-}
-
-// --- TuningCache persistence -------------------------------------------------
-
-core::StageKey cache_key(std::int64_t n) {
-  core::StageKey key;
-  key.kind = "mm";
-  key.m = 128;
-  key.n = n;
-  key.k = 512;
-  key.p = 1;
-  key.q = 2;
-  key.ecase = core::EmulationCase::kCaseIII;
-  key.has_relu = true;
-  key.qbits = 2;
-  return key;
-}
-
-TEST_F(ChaosTest, CacheSaveFaultNeverClobbersThePreviousFile) {
-  const std::string path = ::testing::TempDir() + "apnn_chaos_cache";
-  std::remove(path.c_str());
-  const std::string tmp = path + ".tmp";
-
-  core::TuningCache cache;
-  core::TunedKernel k;
-  k.tile.bm = 32;
-  k.tile.bn = 128;
-  k.measured = true;
-  k.measured_ms = 1.0;
-  cache.insert(cache_key(8), k);
-  ASSERT_TRUE(cache.save_file(path));
-
-  // A save that dies mid-persist must leave the old file byte-for-byte
-  // usable and clean up its temp — a truncated cache would silently cost a
-  // full cold re-tune on the next load.
-  cache.insert(cache_key(16), k);
-  faultinject::arm(faultinject::kCacheSave, 1);
-  EXPECT_THROW(cache.save_file(path), faultinject::FaultInjected);
-  {
-    std::ifstream leftover(tmp);
-    EXPECT_FALSE(leftover.good()) << "temp file must not survive the fault";
-  }
-  core::TuningCache reloaded;
-  ASSERT_TRUE(reloaded.load_file(path));
-  EXPECT_EQ(reloaded.size(), 1u) << "old cache content must be intact";
-
-  // Disarmed, the same save lands atomically.
-  faultinject::disarm_all();
-  ASSERT_TRUE(cache.save_file(path));
-  core::TuningCache after;
-  ASSERT_TRUE(after.load_file(path));
-  EXPECT_EQ(after.size(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST_F(ChaosTest, CorruptCacheFileDegradesToColdTuning) {
-  const std::string path = ::testing::TempDir() + "apnn_chaos_corrupt_cache";
-  {
-    std::ofstream f(path);
-    f << "apnn-tuning-cache v1\nthis file was truncated mid-w";
-  }
-  core::TuningCache cache;
-  EXPECT_FALSE(cache.load_file(path));
-  EXPECT_EQ(cache.size(), 0u);
-
-  // Cold tuning proceeds from the empty cache — degraded startup, not a
-  // crash — and the tuned session still serves bit-exact logits.
-  Fixture f(1, /*seed=*/540);
-  SessionOptions opts;
-  opts.autotune = true;
-  opts.cache = &cache;
-  opts.tuner.reps = 1;
-  opts.tune_batch = 1;  // tune eagerly so the cold measurements are visible
-  InferenceSession tuned(f.net, dev(), opts);
-  EXPECT_GT(tuned.tuning_measurements(), 0)
-      << "an unusable cache must fall back to measuring";
-  expect_same_logits(tuned.run(f.samples[0]), f.golden[0], 0);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -293,8 +293,6 @@ TEST(GatewayConfig, ParsesSectionsAndKeys) {
       "max_queue = 32\n"
       "admission = degrade\n"
       "batch_window_us = 250\n"
-      "autotune = true\n"
-      "cache_path = mini.cache\n"
       "\n"
       "; second model rides the defaults\n"
       "[model vgg]\n"
@@ -311,8 +309,6 @@ TEST(GatewayConfig, ParsesSectionsAndKeys) {
   EXPECT_EQ(cfg.models[0].max_queue, 32);
   EXPECT_EQ(cfg.models[0].admission, "degrade");
   EXPECT_EQ(cfg.models[0].batch_window_us, 250);
-  EXPECT_TRUE(cfg.models[0].autotune);
-  EXPECT_EQ(cfg.models[0].cache_path, "mini.cache");
   EXPECT_EQ(cfg.models[1].id, "vgg");
   EXPECT_EQ(cfg.models[1].max_batch, 8);  // default
 }
@@ -331,6 +327,18 @@ TEST(GatewayConfig, RejectsTyposAndDuplicates) {
   EXPECT_THROW(gw::parse_gateway_config("[model m]\nmax_batch = 4\n"), Error);
   // Garbage line.
   EXPECT_THROW(gw::parse_gateway_config("not an assignment\n"), Error);
+  // autotune/cache_path are not model keys: a config that still sets them
+  // fails on the offending line.
+  for (const std::string key : {"autotune = true", "cache_path = x"}) {
+    try {
+      gw::parse_gateway_config("[model m]\npath = x\n" + key + "\n");
+      ADD_FAILURE() << "'" << key << "' parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("config line 3: unknown model key"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- registry + gateway end-to-end ------------------------------------------

@@ -11,12 +11,10 @@
 //   * shutdown: queued requests are drained, late callers get the
 //     "shutting down" error, destruction never hangs — including with
 //     clients still in flight (the done_cv_ thundering-herd path);
-//   * a shared TuningCache warms across replicas: only the first replica
-//     pays measurement runs, a second server with the same cache pays none;
 //   * execution topology: derive_topology never oversubscribes the
 //     hardware, and serving across per-replica pool slices — work stealing
-//     on or off, pinned or not, autotuned at the slice width — stays
-//     bit-exact (the TSan CI leg runs these against the race detector).
+//     on or off, pinned or not — stays bit-exact (the TSan CI leg runs these
+//     against the race detector).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,7 +23,6 @@
 #include <vector>
 
 #include "src/common/faultinject.hpp"
-#include "src/core/autotune.hpp"
 #include "src/nn/apnn_network.hpp"
 #include "src/nn/model.hpp"
 #include "src/nn/server.hpp"
@@ -526,45 +523,6 @@ TEST(Server, DispatcherDeathFailsItsDequeuedRequestsInsteadOfStranding) {
   EXPECT_EQ(faultinject::fires(faultinject::kReplicaDispatch), 1);
 }
 
-// --- shared tuning cache across replicas ------------------------------------
-
-TEST(Server, SharedCacheOnlyFirstReplicaPaysMeasurementRuns) {
-  const ModelSpec m = mini_cnn(4, 8, 5);
-  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 395);
-  const auto input = random_input(1, m, 396);
-  net.calibrate(input);
-
-  core::TuningCache cache;
-  ServerOptions opts;
-  opts.replicas = 2;
-  opts.max_batch = 4;
-  opts.session.autotune = true;
-  opts.session.cache = &cache;
-
-  InferenceServer cold(net, dev(), opts);
-  EXPECT_GT(cold.replica_tuning_measurements(0), 0);
-  EXPECT_EQ(cold.replica_tuning_measurements(1), 0)
-      << "second replica should compile warm off the shared cache";
-  EXPECT_EQ(cold.tuning_measurements(), cold.replica_tuning_measurements(0));
-
-  // Serving still works (and is bit-exact) under a tuned plan.
-  InferenceSession ref(net, dev());
-  const auto sample = random_input(1, m, 397);
-  expect_same_logits(cold.infer(sample), ref.run(sample), 0);
-
-  // A later server sharing the same cache starts fully warm.
-  InferenceServer warm(net, dev(), opts);
-  EXPECT_EQ(warm.tuning_measurements(), 0);
-
-  // A null cache with autotune on gets a server-owned shared cache with the
-  // same only-replica-0-measures behavior.
-  ServerOptions own = opts;
-  own.session.cache = nullptr;
-  InferenceServer owned(net, dev(), own);
-  EXPECT_GT(owned.replica_tuning_measurements(0), 0);
-  EXPECT_EQ(owned.replica_tuning_measurements(1), 0);
-}
-
 // --- execution topology (per-replica pool slices) ---------------------------
 
 TEST(ServerTopology, DeriveTopologyNeverOversubscribes) {
@@ -685,37 +643,6 @@ TEST(ServerTopology, SlicedStolenAndPinnedServingStaysBitExact) {
     EXPECT_EQ(server.stats().requests, kTotal);
   }
 }
-
-// An autotuned server keys its owned cache to the slice width, and the
-// slice-tuned plans still serve bit-exactly.
-TEST(ServerTopology, AutotunedSliceServerStaysBitExact) {
-  const ModelSpec m = mini_resnet(3, 8, 5);
-  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 650);
-  net.calibrate(random_input(2, m, 651));
-
-  std::vector<Tensor<std::int32_t>> samples;
-  std::vector<Tensor<std::int32_t>> expected;
-  {
-    InferenceSession session(net, dev());
-    for (int i = 0; i < 4; ++i) {
-      samples.push_back(random_input(1, m, 652 + static_cast<unsigned>(i)));
-      expected.push_back(session.run(samples.back()));
-    }
-  }
-
-  ServerOptions opts;
-  opts.replicas = 2;
-  opts.slice_threads = 2;
-  opts.max_batch = 2;
-  opts.session.autotune = true;
-  InferenceServer server(net, dev(), opts);
-  EXPECT_GT(server.tuning_measurements(), 0);  // cold: replica 0 measured
-  for (int i = 0; i < 4; ++i) {
-    expect_same_logits(server.infer(samples[static_cast<std::size_t>(i)]),
-                       expected[static_cast<std::size_t>(i)], i);
-  }
-}
-
 
 // --- bucketed batch formation (dynamic-shape models) ------------------------
 

@@ -249,7 +249,7 @@ TEST(Session, SlabGrowsOnlyForLargerBatches) {
 TEST(Session, AlternatingSeenBatchesStayAllocationFlat) {
   // The serving pattern: micro-batch sizes vary run to run. Batch-resolved
   // state (geometries, tiles) is cached per size, so alternating between
-  // already-seen sizes must not re-run autotune or grow anything.
+  // already-seen sizes must not re-resolve tiles or grow anything.
   const ModelSpec m = mini_resnet(3, 8, 5);
   ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 350);
   net.calibrate(random_input(1, m, 351));

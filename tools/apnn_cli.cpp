@@ -5,21 +5,19 @@
 //   apnn_cli conv  C HW Cout k s    [--wbits p] [--abits q] [--device ...]
 //   apnn_cli model alexnet|vgg|resnet18 [--scheme fp32|fp16|int8|bnn|wXaY]
 //                                   [--batch N] [--device ...] [--no-fuse]
-//   apnn_cli tune  mini_resnet|vgg_lite [--scheme wXaY] [--batch N]
-//                                   [--cache path] [--device ...]
 //   apnn_cli serve mini_resnet|vgg_lite [--scheme wXaY] [--replicas N]
 //                                   [--slice-threads T] [--pin] [--clients N]
-//                                   [--requests N] [--autotune]
-//                                   [--cache path] [--max-batch B]
+//                                   [--requests N] [--max-batch B]
 //                                   [--deadline-ms D] [--fault site:n[:mod]]
-//   apnn_cli inspect --cache path
+//   apnn_cli export mini_resnet|vgg_lite|tiny_transformer <out.apnn> ...
+//   apnn_cli inspect <model.apnn> [--batch N] [--device ...]
 //   apnn_cli devices
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/serve_load.hpp"
@@ -30,7 +28,6 @@
 #include "src/common/timer.hpp"
 #include "src/core/apconv.hpp"
 #include "src/core/apmm.hpp"
-#include "src/core/autotune.hpp"
 #include "src/nn/apnn_network.hpp"
 #include "src/nn/engine.hpp"
 #include "src/nn/serialize.hpp"
@@ -48,10 +45,8 @@ struct Args {
   std::string device = "3090";
   std::string scheme = "w1a2";
   std::string trace_path;
-  std::string cache_path;
   std::int64_t batch = 8;
   int wbits = 1, abits = 2;
-  int reps = 2;
   bool fuse = true;
   // serve
   int replicas = 0;       // 0 = derive jointly with slice_threads
@@ -59,7 +54,6 @@ struct Args {
   bool pin = false;       // pin replica slices to CPUs
   int clients = 8;
   int requests = 64;
-  bool autotune = false;
   std::int64_t deadline_ms = 0;           // 0 = no per-request deadline
   std::vector<std::string> fault_specs;   // faultinject site:n[:xR|:delay=Dms]
   std::int64_t hw = 0;                    // export: input H=W override
@@ -84,10 +78,6 @@ Args parse(int argc, char** argv) {
       a.scheme = next("--scheme");
     } else if (s == "--trace") {
       a.trace_path = next("--trace");
-    } else if (s == "--cache") {
-      a.cache_path = next("--cache");
-    } else if (s == "--reps") {
-      a.reps = std::atoi(next("--reps").c_str());
     } else if (s == "--batch") {
       a.batch = std::atoll(next("--batch").c_str());
     } else if (s == "--max-batch") {
@@ -102,8 +92,6 @@ Args parse(int argc, char** argv) {
       a.clients = std::atoi(next("--clients").c_str());
     } else if (s == "--requests") {
       a.requests = std::atoi(next("--requests").c_str());
-    } else if (s == "--autotune") {
-      a.autotune = true;
     } else if (s == "--deadline-ms") {
       a.deadline_ms = std::atoll(next("--deadline-ms").c_str());
     } else if (s == "--fault") {
@@ -130,28 +118,6 @@ Args parse(int argc, char** argv) {
 const tcsim::DeviceSpec& device_for(const std::string& name) {
   if (name == "a100" || name == "A100") return tcsim::a100();
   return tcsim::rtx3090();
-}
-
-// Loads a tuning cache, degrading to cold tuning on any failure. A missing
-// file is the normal first run (stdout note); an existing file that fails
-// to parse is data loss worth flagging (stderr warning), but never fatal —
-// the entries are re-measurable.
-bool load_cache_or_warn(core::TuningCache& cache, const std::string& path) {
-  if (cache.load_file(path)) {
-    std::printf("cache %s: %zu entries loaded (fingerprint %s)\n",
-                path.c_str(), cache.size(), cache.fingerprint().c_str());
-    return true;
-  }
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    std::fclose(f);
-    std::fprintf(stderr,
-                 "warning: tuning cache %s exists but is corrupt, truncated, "
-                 "or has a stale fingerprint — ignoring it, tuning cold\n",
-                 path.c_str());
-  } else {
-    std::printf("cache %s: starting fresh (no existing file)\n", path.c_str());
-  }
-  return false;
 }
 
 nn::SchemeConfig scheme_for(const Args& a) {
@@ -301,98 +267,12 @@ int cmd_model(const Args& a) {
   return 0;
 }
 
-std::string kernel_desc(const core::TunedKernel& k) {
-  std::string s = strf(
-      "bm=%-3d bn=%-3d strip=%-2lld staging=%d sparse=%d fast=%d", k.tile.bm,
-      k.tile.bn, static_cast<long long>(k.micro.effective_strip()),
-      static_cast<int>(k.micro.staging),
-      static_cast<int>(k.micro.sparse_staging), k.combine_fast ? 1 : 0);
-  if (k.measured) s += strf("  %8.3f ms", k.measured_ms);
-  return s;
-}
-
-int cmd_tune(const Args& a) {
-  if (a.positional.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: apnn_cli tune mini_resnet|vgg_lite [--scheme wXaY] "
-                 "[--batch N] [--cache path] [--reps R] [--device ...]\n");
-    return 2;
-  }
-  const std::string& name = a.positional[1];
-  nn::ModelSpec spec;
-  if (name == "mini_resnet") {
-    spec = nn::mini_resnet(8, 32, 10);  // the serving-size bench workload
-  } else if (name == "vgg_lite") {
-    spec = nn::vgg_lite();
-  } else {
-    std::fprintf(stderr,
-                 "tune runs real kernels and supports the executable zoo "
-                 "specs: mini_resnet, vgg_lite\n");
-    return 2;
-  }
-  int p = 1, q = 2;
-  if (std::sscanf(a.scheme.c_str(), "w%da%d", &p, &q) != 2) {
-    std::fprintf(stderr, "tune needs a wXaY scheme, got '%s'\n",
-                 a.scheme.c_str());
-    return 2;
-  }
-  if (a.reps < 1 || a.batch < 1) {
-    std::fprintf(stderr, "--reps and --batch must be >= 1\n");
-    return 2;
-  }
-  const auto& dev = device_for(a.device);
-
-  core::TuningCache cache;
-  if (!a.cache_path.empty()) {
-    load_cache_or_warn(cache, a.cache_path);
-  }
-
-  nn::ApnnNetwork net = nn::ApnnNetwork::random(spec, p, q, 42);
-  Rng rng(43);
-  Tensor<std::int32_t> input(
-      {a.batch, spec.input.h, spec.input.w, spec.input.c});
-  input.randomize(rng, 0, 255);
-  net.calibrate(input);
-
-  nn::SessionOptions opts;
-  opts.autotune = true;
-  opts.cache = &cache;
-  opts.tune_batch = a.batch;
-  opts.tuner.reps = a.reps;
-  WallTimer timer;
-  nn::InferenceSession session(net, dev, opts);
-  const double tune_ms = timer.millis();
-
-  std::printf("%s w%da%d, batch %lld, device %s\n", spec.name.c_str(), p, q,
-              static_cast<long long>(a.batch), dev.name.c_str());
-  const std::vector<core::TunedKernel> kernels =
-      session.stage_kernels(a.batch);
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    if (!kernels[i].measured) continue;  // glue steps carry no kernel
-    std::printf("  step %2zu : %s\n", i, kernel_desc(kernels[i]).c_str());
-  }
-  std::printf("  tuned in %.1f ms (%lld measurement runs; cache now holds "
-              "%zu entries)\n",
-              tune_ms, static_cast<long long>(session.tuning_measurements()),
-              cache.size());
-
-  if (!a.cache_path.empty()) {
-    if (!cache.save_file(a.cache_path)) {
-      std::fprintf(stderr, "cannot write %s\n", a.cache_path.c_str());
-      return 3;
-    }
-    std::printf("  cache saved to %s (%zu entries)\n", a.cache_path.c_str(),
-                cache.size());
-  }
-  return 0;
-}
-
 int cmd_serve(const Args& a) {
   if (a.positional.size() != 2) {
     std::fprintf(stderr,
                  "usage: apnn_cli serve mini_resnet|vgg_lite [--scheme wXaY] "
                  "[--replicas N] [--slice-threads T] [--pin] [--clients N] "
-                 "[--requests N] [--autotune] [--cache path] [--max-batch B] "
+                 "[--requests N] [--max-batch B] "
                  "[--deadline-ms D] "
                  "[--fault site:n[:xR|:delay=Dms]] [--device ...]\n");
     return 2;
@@ -429,31 +309,11 @@ int cmd_serve(const Args& a) {
   }
   const auto& dev = device_for(a.device);
 
-  // A cache only means something to a tuned plan; honor --cache instead of
-  // silently serving untuned.
-  bool autotune = a.autotune;
-  if (!autotune && !a.cache_path.empty()) {
-    std::printf("--cache given: enabling --autotune\n");
-    autotune = true;
-  }
-
-  // The server options shape the execution topology, and the topology
-  // shapes the cache: replica sessions measure on slice-wide pools, so the
-  // cache fingerprint must carry the resolved slice width — a cache
-  // recorded under a different topology would silently replay mismatched
-  // winners. Resolve the topology first, then build the cache around it.
   nn::ServerOptions opts;
   opts.max_batch = a.batch;
   opts.replicas = a.replicas;
   opts.slice_threads = a.slice_threads;
   opts.pin_threads = a.pin;
-  const nn::InferenceServer::Topology topo =
-      nn::InferenceServer::derive_topology(
-          opts, std::thread::hardware_concurrency());
-  core::TuningCache cache(static_cast<unsigned>(topo.slice_threads));
-  if (autotune && !a.cache_path.empty()) {
-    load_cache_or_warn(cache, a.cache_path);
-  }
 
   nn::ApnnNetwork net = nn::ApnnNetwork::random(spec, p, q, 42);
   Rng rng(43);
@@ -490,22 +350,13 @@ int cmd_serve(const Args& a) {
     std::printf("fault armed: %s\n", spec.c_str());
   }
 
-  opts.session.autotune = autotune;
-  if (autotune) opts.session.cache = &cache;
-
   WallTimer start_timer;
   nn::InferenceServer server(net, dev, opts);
   const double start_ms = start_timer.millis();
   std::printf("%s w%da%d on %s: %d replicas x %d-wide slices%s up in "
-              "%.1f ms",
+              "%.1f ms\n",
               spec.name.c_str(), p, q, dev.name.c_str(), server.replicas(),
               server.slice_threads(), a.pin ? " (pinned)" : "", start_ms);
-  if (autotune) {
-    std::printf(" (%lld tuning runs, cache %zu entries)",
-                static_cast<long long>(server.tuning_measurements()),
-                cache.size());
-  }
-  std::printf("\n");
 
   bench::LoadOptions lopts;
   lopts.deadline = std::chrono::milliseconds(a.deadline_ms);
@@ -566,21 +417,11 @@ int cmd_serve(const Args& a) {
     std::printf("\n");
   }
 
-  if (autotune && !a.cache_path.empty()) {
-    if (!cache.save_file(a.cache_path)) {
-      std::fprintf(stderr, "cannot write %s\n", a.cache_path.c_str());
-      return 3;
-    }
-    std::printf("  cache saved to %s (%zu entries)\n", a.cache_path.c_str(),
-                cache.size());
-  }
-
   // Distinct exit codes so CI smoke runs can tell the failure modes apart:
   //   0  drained, responses bit-exact (typed failures allowed only under an
   //      armed fault or an explicit deadline — they are the drill)
   //   1  a served response differed from the sequential golden run
   //   2  usage error (bad flags, bad --fault spec)
-  //   3  tuning-cache write failure
   //   4  requests failed with nothing armed to explain it
   if (bad != 0) return 1;
   const bool failures_expected = !a.fault_specs.empty() || a.deadline_ms > 0;
@@ -588,53 +429,45 @@ int cmd_serve(const Args& a) {
   return 0;
 }
 
-/// `inspect <model>`: run one profiled forward pass and print the per-stage
-/// occupancy the sparse fast path actually saw — zero-word share at staging
-/// time, sparse-vs-dense strip decisions, and elided bit-planes — so an
-/// operator can tell whether the sparse path engages on production data.
-int cmd_inspect_model(const Args& a) {
-  const std::string& name = a.positional[1];
-  nn::ModelSpec spec;
-  if (name == "mini_resnet") {
-    spec = nn::mini_resnet(8, 32, 10);
-  } else if (name == "vgg_lite") {
-    spec = nn::vgg_lite();
-  } else {
+/// `inspect <model.apnn>`: load any exported network, run one profiled
+/// forward pass at --batch, and print the per-stage occupancy the sparse
+/// fast path actually saw — zero-word share at staging time, sparse-vs-dense
+/// strip decisions, and elided bit-planes — so an operator can tell whether
+/// the sparse path engages on that model.
+int cmd_inspect(const Args& a) {
+  if (a.positional.size() != 2 || a.batch < 1) {
     std::fprintf(stderr,
-                 "inspect runs real kernels and supports the executable zoo "
-                 "specs: mini_resnet, vgg_lite\n");
+                 "usage: apnn_cli inspect <model.apnn> [--batch N] "
+                 "[--device ...]\n");
     return 2;
   }
-  int p = 1, q = 2;
-  if (std::sscanf(a.scheme.c_str(), "w%da%d", &p, &q) != 2) {
-    std::fprintf(stderr, "inspect needs a wXaY scheme, got '%s'\n",
-                 a.scheme.c_str());
-    return 2;
-  }
+  const std::string& path = a.positional[1];
   const auto& dev = device_for(a.device);
-  nn::ApnnNetwork net = nn::ApnnNetwork::random(spec, p, q, 42);
+  std::unique_ptr<nn::ApnnNetwork> net;
+  try {
+    net = std::make_unique<nn::ApnnNetwork>(nn::load_network(path));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+    return 1;
+  }
+  if (!net->calibrated()) {
+    std::fprintf(stderr, "%s holds an uncalibrated network\n", path.c_str());
+    return 1;
+  }
+  const nn::ModelSpec& spec = net->spec();
   Rng rng(43);
   Tensor<std::int32_t> input(
       {a.batch, spec.input.h, spec.input.w, spec.input.c});
   input.randomize(rng, 0, 255);
-  net.calibrate(input);
 
-  nn::SessionOptions opts;
-  core::TuningCache cache;
-  if (!a.cache_path.empty()) {
-    load_cache_or_warn(cache, a.cache_path);
-    opts.autotune = true;
-    opts.cache = &cache;
-    opts.tune_batch = a.batch;
-  }
-  nn::InferenceSession session(net, dev, opts);
+  nn::InferenceSession session(*net, dev);
   Tensor<std::int32_t> logits;
   tcsim::SequenceProfile prof;
   session.run(input, &logits, &prof);
 
   std::printf("%s w%da%d, batch %lld, device %s — per-stage occupancy\n",
-              spec.name.c_str(), p, q, static_cast<long long>(a.batch),
-              dev.name.c_str());
+              spec.name.c_str(), net->wbits(), net->abits(),
+              static_cast<long long>(a.batch), dev.name.c_str());
   std::printf("  %-24s %10s %8s %8s %s\n", "kernel", "zero-words",
               "sparse", "dense", "planes elided");
   for (const auto& k : prof.kernels) {
@@ -652,34 +485,6 @@ int cmd_inspect_model(const Args& a) {
                 static_cast<long long>(k.sparsity_dense_strips),
                 static_cast<long long>(k.sparsity_planes_elided),
                 static_cast<long long>(k.sparsity_planes));
-  }
-  return 0;
-}
-
-int cmd_inspect(const Args& a) {
-  if (a.positional.size() >= 2) return cmd_inspect_model(a);
-  if (a.cache_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: apnn_cli inspect --cache path\n"
-                 "       apnn_cli inspect mini_resnet|vgg_lite [--scheme "
-                 "wXaY] [--batch N] [--cache path]\n");
-    return 2;
-  }
-  core::TuningCache cache;
-  if (!cache.load_file(a.cache_path, /*any_fingerprint=*/true)) {
-    std::fprintf(stderr, "%s: unreadable or malformed tuning cache\n",
-                 a.cache_path.c_str());
-    return 1;
-  }
-  const std::string current = core::TuningCache::hardware_fingerprint();
-  const bool stale = cache.fingerprint() != current;
-  std::printf("tuning cache %s: %zu entries\n", a.cache_path.c_str(),
-              cache.size());
-  std::printf("  fingerprint : %s%s\n", cache.fingerprint().c_str(),
-              stale ? "  [STALE — this binary would ignore it]" : "");
-  if (stale) std::printf("  this binary : %s\n", current.c_str());
-  for (const auto& [key, k] : cache.entries()) {
-    std::printf("  %-60s %s\n", key.c_str(), kernel_desc(k).c_str());
   }
   return 0;
 }
@@ -792,25 +597,22 @@ int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
   if (a.positional.empty()) {
     std::fprintf(stderr,
-                 "usage: apnn_cli gemm|conv|model|tune|serve|export|inspect|"
+                 "usage: apnn_cli gemm|conv|model|serve|export|inspect|"
                  "devices ...\n"
                  "  gemm M N K p q\n"
                  "  conv Cin HW Cout k s [--wbits p --abits q --batch N]\n"
                  "  model alexnet|vgg|resnet18|vgg_lite [--scheme wXaY|fp32|"
                  "fp16|int8|bnn] [--batch N] [--no-fuse]\n"
-                 "  tune mini_resnet|vgg_lite [--scheme wXaY] [--batch N] "
-                 "[--cache path] [--reps R]\n"
                  "  serve mini_resnet|vgg_lite [--scheme wXaY] [--replicas N]"
                  " [--clients N]\n"
                  "        [--slice-threads T] [--pin] [--requests N] "
-                 "[--autotune] [--cache path]\n"
-                 "        [--max-batch B] [--deadline-ms D] "
+                 "[--max-batch B]\n"
+                 "        [--deadline-ms D] "
                  "[--fault site:n[:xR|:delay=Dms]]\n"
                  "  export mini_resnet|vgg_lite|tiny_transformer <out.apnn> "
                  "[--scheme wXaY]\n"
                  "         [--hw N] [--seq-buckets 32,64,...] [--seed S]\n"
-                 "  inspect --cache path | inspect mini_resnet|vgg_lite"
-                 " [--scheme wXaY] [--batch N]\n"
+                 "  inspect <model.apnn> [--batch N]\n"
                  "  common: [--device 3090|a100] [--trace out.json]\n");
     return 2;
   }
@@ -818,7 +620,6 @@ int main(int argc, char** argv) {
   if (cmd == "gemm") return cmd_gemm(a);
   if (cmd == "conv") return cmd_conv(a);
   if (cmd == "model") return cmd_model(a);
-  if (cmd == "tune") return cmd_tune(a);
   if (cmd == "serve") return cmd_serve(a);
   if (cmd == "export") return cmd_export(a);
   if (cmd == "inspect") return cmd_inspect(a);

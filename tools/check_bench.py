@@ -6,23 +6,29 @@ and fails (exit 1) on a regression:
 
   * ``bit_exact`` present in the baseline must be true in the fresh run —
     a wrong result is a hard failure regardless of speed;
-  * every ``*speedup*`` key (machine-relative ratios: interpreter/session,
-    tuned/heuristic, ...) must not drop below baseline by more than
-    ``--ratio-tol`` (these are the primary, hardware-independent gates).
-    BENCH_serving_throughput.json's ``replica_scaling_x`` is deliberately
-    NOT named a speedup: on hosts too narrow to run the replica pool in
-    parallel the ratio measures scheduler noise around 1.0, so its binary
-    hard-gates >= 2x itself — exactly where the hardware can host the pool
-    (``scaling_enforced``) — and here it is only presence-checked. Its
-    wall/latency figures are spelled ``*_millis`` for the same reason:
-    queueing metrics of a short oversubscribed run, not best-of-reps
-    compute times, so they carry the presence check but not the ceiling;
-  * every ``*_ms`` key (absolute wall time) must not exceed baseline by more
-    than ``--ms-tol``. Baselines are recorded on the reference container,
-    so the default tolerance leaves headroom for different CI hardware —
-    the ratio gates are the tight ones;
+  * every numeric baseline key is gated by the kind GATES declares for it
+    in that file (see below). A numeric baseline key with no declared kind
+    fails the check, and so does a declared key the baseline lacks: a
+    renamed metric must be re-declared, never silently un-gated;
   * every numeric baseline key must exist in the fresh output (schema drift
     is a failure: a silently dropped metric would un-gate it).
+
+Gate kinds:
+
+  exact           fresh == baseline: workload constants and deterministic
+                  plan shapes (steps, slots, slab bytes) and zero-drop
+                  counters.
+  ratio_floor     fresh >= baseline * (1 - --ratio-tol): machine-relative
+                  speedups measured inside one run, the primary gates.
+  overhead_floor  fresh >= OVERHEAD_FLOOR, absolute: robust-vs-plain ratios
+                  whose ideal is 1.0 by construction.
+  ms_ceiling      fresh <= baseline * (1 + --ms-tol): best-of-reps compute
+                  wall times. Baselines come from the reference container,
+                  so the default tolerance leaves headroom for other CI
+                  hardware.
+  info            presence-checked only: command-line parameters, host
+                  width, throughput and queueing metrics of short
+                  oversubscribed runs, and mid-sweep points.
 
 Usage:
   check_bench.py --baseline-dir . --fresh-dir bench-out [names...]
@@ -37,16 +43,97 @@ import json
 import pathlib
 import sys
 
-# ``*overhead_speedup*`` keys (robust-vs-plain ratios measured inside one
-# bench run, ideal 1.0) are gated against this absolute floor instead of the
+# overhead_floor keys (robust-vs-plain ratios measured inside one bench run,
+# ideal 1.0) are gated against this absolute floor instead of the
 # baseline-relative one: the serving deadline machinery may cost at most 2%.
-OVERHEAD_SPEEDUP_FLOOR = 0.98
+OVERHEAD_FLOOR = 0.98
 
 # ``--require-scaling``: the replicated serving pool must reach this many
 # times the single-replica throughput, and the bench itself must have judged
 # the host wide enough to enforce it (``scaling_enforced``). Used by the CI
 # multicore leg; meaningless on narrow hosts, hence opt-in.
 REPLICA_SCALING_FLOOR = 2.0
+
+
+def _sweep_gates():
+    """apmm_sparsity_sweep: the 0% and 90% acceptance points carry ceilings;
+    the mid-sweep times and per-point ratios are informational."""
+    gates = {"m": "info", "n": "info", "k": "info", "reps": "info",
+             "sparsity_speedup_90": "ratio_floor",
+             "dense_parity_speedup_0": "ratio_floor"}
+    for scheme in ("w1a2", "w2a2"):
+        for point in (0, 25, 50, 75, 90, 95):
+            gated = point in (0, 90)
+            suffix = "ms" if gated else "millis"
+            kind = "ms_ceiling" if gated else "info"
+            gates[f"{scheme}_dense_{point}_{suffix}"] = kind
+            gates[f"{scheme}_sparse_{point}_{suffix}"] = kind
+            gates[f"{scheme}_ratio_{point}"] = "info"
+    return gates
+
+
+GATES = {
+    "BENCH_apconv_hotpath.json": {
+        "batch": "exact", "in_c": "exact", "hw": "exact", "out_c": "exact",
+        "kernel": "exact", "gemm_m": "exact", "gemm_n": "exact",
+        "gemm_k": "exact", "tile_bm": "exact", "tile_bn": "exact",
+        "reps": "info",
+        "materialized_ms": "ms_ceiling", "fused_ms": "ms_ceiling",
+        "materialized_gops": "info", "fused_gops": "info",
+        "speedup": "ratio_floor",
+    },
+    "BENCH_apmm_hotpath.json": {
+        "m": "info", "n": "info", "k": "info",
+        "tile_bm": "info", "tile_bn": "info", "reps": "info",
+        "seed_ms": "ms_ceiling", "microkernel_ms": "ms_ceiling",
+        "seed_gops": "info", "microkernel_gops": "info",
+        "speedup": "ratio_floor",
+    },
+    "BENCH_apmm_sparsity.json": _sweep_gates(),
+    "BENCH_apnn_forward_hotpath.json": {
+        "batch": "exact", "hw": "exact", "in_c": "exact", "classes": "exact",
+        "reps": "info", "hardware_threads": "info",
+        "interpreter_ms": "ms_ceiling", "session_ms": "ms_ceiling",
+        "compile_run_ms": "ms_ceiling",
+        "interpreter_fps": "info", "session_fps": "info",
+        "slab_bytes": "exact", "slots": "exact", "steps": "exact",
+        "speedup": "ratio_floor",
+    },
+    "BENCH_attention_hotpath.json": {
+        "buckets": "exact", "reps": "info",
+        "hand_seq32_millis": "info", "session_seq32_millis": "info",
+        "hand_seq512_millis": "info", "session_seq512_millis": "info",
+        "speedup_seq32": "ratio_floor", "speedup_seq512": "ratio_floor",
+        "speedup": "ratio_floor",
+        "plans": "exact", "slots": "exact", "slab_bytes": "exact",
+        "serve_requests": "exact", "serve_batches": "info",
+        "serve_max_batch": "info", "serve_rps": "info",
+    },
+    "BENCH_gateway_throughput.json": {
+        "requests_per_model": "info", "clients_per_model": "info",
+        "reload_drill_drops": "exact",
+        "gateway_rps": "info", "wall_millis": "info",
+        "model0_p50_millis": "info", "model0_p99_millis": "info",
+        "model1_p50_millis": "info", "model1_p99_millis": "info",
+    },
+    "BENCH_serving_throughput.json": {
+        "requests": "info", "clients": "info", "replicas": "info",
+        "slice_threads": "info", "hardware_threads": "info",
+        "single_rps": "info", "replicated_rps": "info",
+        "replica_scaling_x": "info",
+        "single_wall_millis": "info", "replicated_wall_millis": "info",
+        "deadline_wall_millis": "info",
+        "deadline_overhead_speedup": "overhead_floor",
+        "mean_latency_millis": "info",
+        "peak_queue_depth": "info", "max_batch_formed": "info",
+    },
+}
+
+KINDS = {"exact", "ratio_floor", "overhead_floor", "ms_ceiling", "info"}
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def load(path: pathlib.Path):
@@ -70,33 +157,43 @@ def check_file(name: str, base: dict, fresh: dict, ms_tol: float,
                 "--require-scaling: scaling_enforced is not true (host too "
                 "narrow, or the bench ran with < 4 replicas)")
         scaling = fresh.get("replica_scaling_x")
-        if not isinstance(scaling, (int, float)) or isinstance(scaling, bool):
+        if not is_number(scaling):
             errors.append("--require-scaling: replica_scaling_x not numeric")
         elif scaling < REPLICA_SCALING_FLOOR:
             errors.append(
                 f"--require-scaling: replica_scaling_x {scaling:.3f} < "
                 f"{REPLICA_SCALING_FLOOR:.1f}")
 
+    gates = GATES.get(name, {})
+    for key, kind in gates.items():
+        if kind not in KINDS:
+            errors.append(f"gate table: '{key}' has unknown kind '{kind}'")
+        if key not in base:
+            errors.append(f"gate table: '{key}' is not in the baseline")
+
     for key, bval in base.items():
-        if not isinstance(bval, (int, float)) or isinstance(bval, bool):
+        if not is_number(bval):
+            continue
+        kind = gates.get(key)
+        if kind is None:
+            errors.append(f"metric '{key}' has no gate kind declared")
             continue
         fval = fresh.get(key)
-        if not isinstance(fval, (int, float)) or isinstance(fval, bool):
+        if not is_number(fval):
             errors.append(f"metric '{key}' missing from fresh output")
             continue
-        if "speedup" in key:
-            floor = bval * (1.0 - ratio_tol)
-            if "overhead_speedup" in key:
-                # Overhead ratios have an ideal of 1.0 by construction
-                # (robust path vs plain path on the same machine in the same
-                # run), so the floor is absolute — a lucky fast baseline must
-                # not tighten the gate, and a slow one must not loosen it.
-                floor = OVERHEAD_SPEEDUP_FLOOR
+        if kind == "exact":
+            if fval != bval:
+                errors.append(f"{key}: {fval} != {bval} (exact)")
+        elif kind in ("ratio_floor", "overhead_floor"):
+            floor = (bval * (1.0 - ratio_tol) if kind == "ratio_floor"
+                     else OVERHEAD_FLOOR)
             if fval < floor:
                 errors.append(
                     f"{key}: {fval:.3f} < {floor:.3f} "
-                    f"(baseline {bval:.3f}, ratio-tol {ratio_tol:.2f})")
-        elif key.endswith("_ms"):
+                    f"(baseline {bval:.3f}, {kind}, "
+                    f"ratio-tol {ratio_tol:.2f})")
+        elif kind == "ms_ceiling":
             ceiling = bval * (1.0 + ms_tol)
             if fval > ceiling:
                 errors.append(
@@ -110,10 +207,10 @@ def main() -> int:
     ap.add_argument("--baseline-dir", default=".", type=pathlib.Path)
     ap.add_argument("--fresh-dir", required=True, type=pathlib.Path)
     ap.add_argument("--ms-tol", type=float, default=0.60,
-                    help="allowed relative slowdown of *_ms keys "
+                    help="allowed relative slowdown of ms_ceiling keys "
                          "(default 0.60: cross-machine headroom)")
     ap.add_argument("--ratio-tol", type=float, default=0.10,
-                    help="allowed relative drop of *speedup* keys "
+                    help="allowed relative drop of ratio_floor keys "
                          "(default 0.10: wall-clock noise)")
     ap.add_argument("--require-scaling", action="store_true",
                     help="additionally require replica_scaling_x >= "

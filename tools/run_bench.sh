@@ -5,14 +5,12 @@
 #   * bench/apmm_sparsity_sweep    (occupancy-map skip kernels vs the dense
 #                                   sweep, 0-95% activation sparsity)
 #   * bench/apconv_hotpath         (materialized-im2col vs fused APConv)
-#   * bench/apnn_forward_hotpath   (interpreter vs InferenceSession vs the
-#                                   autotuned session plan)
+#   * bench/apnn_forward_hotpath   (interpreter vs InferenceSession)
 #   * bench/attention_hotpath      (compiled attention plan family vs the
 #                                   hand-built per-call apmm baseline, every
 #                                   bucket bit-exact, mixed-length serving)
 #   * bench/serving_throughput     (replicated InferenceServer pool vs the
-#                                   single-replica server, shared-TuningCache
-#                                   cold/warm start)
+#                                   single-replica server, deadline overhead)
 #   * bench/gateway_throughput     (two co-resident models over loopback TCP
 #                                   through the apnn_serve gateway stack,
 #                                   hot-reload zero-drop drill)
