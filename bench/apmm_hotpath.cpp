@@ -11,12 +11,21 @@
 // src/core/microkernel.hpp. Results are written as JSON so CI can track the
 // speedup from PR 1 onward.
 //
+// Two attention-step shapes of tiny_transformer at seq 512 time the block
+// epilogue (the §4.1b plane combine plus the fused epilogue) on one thread,
+// each checked against ap_gemm_reference followed by Epilogue::apply:
+//   * scores_w2a2: QK^T, w2a2 (p = q = 2) 512x512x16, identity epilogue;
+//   * proj_w1a2_quant: a Q/K/V projection, w1a2 (Case III) 32x512x32,
+//     ReLU + 2-bit quantize into packed planes.
+//
 // Usage: apmm_hotpath [out.json] [size] [reps]
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/bitops/decompose.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/timer.hpp"
 #include "src/core/apmm.hpp"
@@ -157,6 +166,49 @@ double best_of_ms(int reps, Fn&& fn) {
   return best;
 }
 
+/// One-thread best-of-`reps` ms of run_batched_compute at an attention-step
+/// shape with the session's tile heuristic, or -1 when the output disagrees
+/// with ap_gemm_reference followed by Epilogue::apply.
+double attention_step_ms(Rng& rng, std::int64_t m, std::int64_t n,
+                         std::int64_t k, core::Encoding w_enc, int p,
+                         core::Encoding x_enc, int q, const Epilogue& epi,
+                         int reps) {
+  const ApOperand w = bench_helpers::random_operand(rng, m, k, w_enc, p);
+  const ApOperand x = bench_helpers::random_operand(rng, n, k, x_enc, q);
+  const OpSelection sel = core::select_operator({w.encoding, x.encoding});
+  const core::TileConfig tile = core::clamp_tile_rows(
+      core::autotune_tile(m, n, k, p, q, tcsim::rtx3090()).tile, m, p);
+  ThreadPool serial(1);
+  BatchedGeometry g = core::internal::make_geometry(w, x, tile);
+  g.pool = &serial;
+
+  Tensor<std::int32_t> y;
+  bitops::BitPlanes packed;
+  const auto run = [&] {
+    // As apmm() does: the packed planes are OR targets, so they are
+    // re-zeroed; the dense output keeps its storage.
+    if (epi.has_quant) {
+      packed.reset_shape(n, m, epi.quant.bits);
+    } else {
+      y.reset_shape({m, n});
+    }
+    core::internal::run_batched_compute(w, x, sel, g, epi, &y, &packed);
+  };
+  run();
+  const Tensor<std::int32_t> ref = core::ap_gemm_reference(w, x);
+  const std::vector<std::int32_t> codes =
+      epi.has_quant ? bitops::recompose(packed) : std::vector<std::int32_t>{};
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const std::int32_t got =
+          epi.has_quant ? codes[static_cast<std::size_t>(j * m + i)]
+                        : y(i, j);
+      if (got != epi.apply(ref(i, j), i)) return -1.0;
+    }
+  }
+  return best_of_ms(reps, run);
+}
+
 }  // namespace
 }  // namespace apnn
 
@@ -219,6 +271,33 @@ int main(int argc, char** argv) {
               new_gops);
   std::printf("  speedup         : %6.2fx\n", speedup);
 
+  // The seq-512 attention steps of tiny_transformer w1a2 (d_model 32,
+  // 2 heads of d_head 16).
+  Rng attn_rng(512);
+  const double scores_ms = attention_step_ms(
+      attn_rng, 512, 512, 16, core::Encoding::kUnsigned01, 2,
+      core::Encoding::kUnsigned01, 2, Epilogue{}, reps);
+  Epilogue proj_epi;
+  proj_epi.has_relu = true;
+  proj_epi.has_quant = true;
+  proj_epi.quant.bits = 2;
+  proj_epi.quant.scale = 4.0;
+  const double proj_ms = attention_step_ms(
+      attn_rng, 32, 512, 32, core::Encoding::kSignedPM1, 1,
+      core::Encoding::kUnsigned01, 2, proj_epi, reps);
+  if (scores_ms < 0 || proj_ms < 0) {
+    std::fprintf(stderr, "FATAL: attention-step output mismatch\n");
+    return 1;
+  }
+  const unsigned hw_threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  std::printf("  seq-512 scores w2a2 512x512x16, 1 thread : %8.3f ms "
+              "(%5.2f ns/output)\n",
+              scores_ms, scores_ms * 1e6 / (512.0 * 512));
+  std::printf("  seq-512 proj w1a2 quant 32x512x32, 1 thread: %8.3f ms "
+              "(%5.2f ns/output)\n",
+              proj_ms, proj_ms * 1e6 / (32.0 * 512));
+
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -231,15 +310,19 @@ int main(int argc, char** argv) {
                "  \"m\": %lld,\n  \"n\": %lld,\n  \"k\": %lld,\n"
                "  \"tile_bm\": %d,\n  \"tile_bn\": %d,\n"
                "  \"reps\": %d,\n"
+               "  \"hardware_threads\": %u,\n"
                "  \"seed_ms\": %.3f,\n"
                "  \"microkernel_ms\": %.3f,\n"
                "  \"seed_gops\": %.2f,\n"
                "  \"microkernel_gops\": %.2f,\n"
-               "  \"speedup\": %.3f\n"
+               "  \"speedup\": %.3f,\n"
+               "  \"scores_w2a2_seq512_millis\": %.3f,\n"
+               "  \"proj_w1a2_quant_seq512_millis\": %.3f\n"
                "}\n",
                static_cast<long long>(size), static_cast<long long>(size),
-               static_cast<long long>(size), tile.bm, tile.bn, reps, seed_ms,
-               new_ms, seed_gops, new_gops, speedup);
+               static_cast<long long>(size), tile.bm, tile.bn, reps,
+               hw_threads, seed_ms, new_ms, seed_gops, new_gops, speedup,
+               scores_ms, proj_ms);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

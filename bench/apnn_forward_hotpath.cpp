@@ -241,6 +241,10 @@ Tensor<std::int32_t> interpreter_forward(const ApnnNetwork& net,
       case LayerKind::kSoftmax:
         vals[li] = in;
         break;
+      case LayerKind::kAttention:
+        APNN_CHECK(false) << "interpreter baseline: attention layer "
+                          << l.name << " is not modeled";
+        break;
     }
   }
   APNN_CHECK(logits.numel() > 0) << "network has no linear head";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
 
 #include "src/core/microkernel.hpp"
@@ -147,35 +148,6 @@ tcsim::KernelProfile combine_kernel_profile(const BatchedGeometry& g,
   return prof;
 }
 
-namespace {
-
-/// Combines the raw popc partials of one output element (all p*q plane
-/// pairs) into the integer dot product. `raw_row` points at the element's
-/// first plane row (raw + (mo*p)*vtn8 + no*q).
-inline std::int64_t combine_element(const BatchedGeometry& g,
-                                    const OpSelection& sel,
-                                    const std::int32_t* raw_row,
-                                    const std::int64_t* wmult,
-                                    const std::int64_t* xmult,
-                                    const std::int64_t* xpopc_col,
-                                    std::uint32_t elide_w,
-                                    std::uint32_t elide_x) {
-  std::int64_t acc = 0;
-  for (int s = 0; s < g.p; ++s) {
-    if ((elide_w >> s) & 1) continue;  // term exactly zero (see elision rules)
-    const std::int32_t* prow = raw_row + s * g.vtn8;
-    for (int t = 0; t < g.q; ++t) {
-      if ((elide_x >> t) & 1) continue;
-      const std::int64_t xp = xpopc_col != nullptr ? xpopc_col[t] : 0;
-      acc += wmult[s] * xmult[t] *
-             finalize_partial(sel.kind, prow[t], g.k, xp);
-    }
-  }
-  return acc;
-}
-
-}  // namespace
-
 void run_batched_compute(const ApOperand& w, const ApOperand& x,
                          const OpSelection& sel, const BatchedGeometry& g,
                          const Epilogue& epi, Tensor<std::int32_t>* y,
@@ -239,8 +211,9 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
   // xpopc[n * q + t] so one output column's planes sit contiguously. For the
   // window-gathered operand the patch row never exists, but its popcount is
   // the sum of the in-frame channel-slab popcounts (§4.2b pads 0 here, so
-  // padding taps contribute nothing).
-  std::vector<std::int64_t> xpopc;
+  // padding taps contribute nothing). Stored as uint32 for the modulo-2^32
+  // row combine (a popcount never exceeds k).
+  std::vector<std::uint32_t> xpopc;
   if (sel.kind == EmulationCase::kCaseIII) {
     xpopc.resize(static_cast<std::size_t>(g.n * g.q));
     if (x.window_gather()) {
@@ -248,13 +221,13 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
       // plane, then per column a pure-integer sum over its in-frame taps.
       const layout::ConvGeometry& cg = *x.conv;
       const std::int64_t spatial = cg.batch * cg.in_h * cg.in_w;
-      std::vector<std::int32_t> slab_popc(
+      std::vector<std::uint32_t> slab_popc(
           static_cast<std::size_t>(spatial * g.q));
       geometry_pool(g).parallel_for(0, spatial, [&](std::int64_t r) {
         for (int t = 0; t < g.q; ++t) {
           if ((elide_x >> t) & 1) continue;  // plane is zero: popc stays 0
           slab_popc[static_cast<std::size_t>(r * g.q + t)] =
-              static_cast<std::int32_t>(
+              static_cast<std::uint32_t>(
                   x.fmap->planes[static_cast<std::size_t>(t)]
                       .row_popcount(r));
         }
@@ -262,7 +235,7 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
       geometry_pool(g).parallel_for(0, g.n, [&](std::int64_t j) {
         const layout::OutPos pos =
             layout::conv_col_position(cg, j, x.pool_win);
-        std::int64_t* out = xpopc.data() + j * g.q;
+        std::uint32_t* out = xpopc.data() + j * g.q;
         for (int t = 0; t < g.q; ++t) out[t] = 0;
         for (int kh = 0; kh < cg.kernel; ++kh) {
           const std::int64_t ih = pos.oy * cg.stride + kh - cg.pad;
@@ -270,7 +243,7 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
           for (int kw = 0; kw < cg.kernel; ++kw) {
             const std::int64_t iw = pos.ox * cg.stride + kw - cg.pad;
             if (iw < 0 || iw >= cg.in_w) continue;
-            const std::int32_t* sp =
+            const std::uint32_t* sp =
                 slab_popc.data() +
                 ((pos.n * cg.in_h + ih) * cg.in_w + iw) * g.q;
             for (int t = 0; t < g.q; ++t) out[t] += sp[t];
@@ -282,7 +255,7 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
         for (int t = 0; t < g.q; ++t) {
           if ((elide_x >> t) & 1) continue;  // resize() zero-filled the slot
           xpopc[static_cast<std::size_t>(j * g.q + t)] =
-              x.planes->plane(t).row_popcount(j);
+              static_cast<std::uint32_t>(x.planes->plane(t).row_popcount(j));
         }
       }, /*grain=*/256);
     }
@@ -299,6 +272,98 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
   }
 
   const int qbits = epi.has_quant ? epi.quant.bits : 0;
+
+  // §4.1b in-place bit combination of one output row: reduces the p*q plane
+  // partials of block row `mo` (`rows` = raw + mo*p*vtn8) into out[0, cols)
+  // with one flat pass per weight plane. All q plane partials of a column
+  // sit adjacent in a plane row, so each pass reads contiguously; the case
+  // switch is hoisted out of the element loop, and q = 1 (the BNN case) and
+  // q = 2 (the dominant w1a2/w2a2 steps) get unrolled maps. The sums are
+  // taken modulo 2^32: exactly the int32 truncation of the integer dot
+  // product, with no signed overflow for any p, q or k.
+  const auto k32 = static_cast<std::uint32_t>(g.k);
+  const auto combine_row = [&](const std::int32_t* rows,
+                               const std::uint32_t* xp, std::int64_t cols,
+                               std::uint32_t* out) {
+    std::fill_n(out, cols, 0u);
+    if (all_x_elided) return;
+    // 16 is the plane-count ceiling enforced by bitops::decompose /
+    // layout::pack_activations.
+    APNN_DCHECK(g.q <= 16) << "q=" << g.q;
+    for (int s = 0; s < g.p; ++s) {
+      if ((elide_w >> s) & 1) continue;  // whole-plane term is zero
+      const auto* pr =
+          reinterpret_cast<const std::uint32_t*>(rows + s * g.vtn8);
+      const std::int64_t ws = wmult[static_cast<std::size_t>(s)];
+      std::uint32_t mult[16];
+      for (int t = 0; t < g.q; ++t) {
+        mult[t] = static_cast<std::uint32_t>(
+            ws * xmult[static_cast<std::size_t>(t)]);
+      }
+      switch (sel.kind) {
+        case EmulationCase::kCaseI:
+          if (g.q == 1) {
+            for (std::int64_t no = 0; no < cols; ++no) {
+              out[no] += mult[0] * pr[no];
+            }
+          } else if (g.q == 2) {
+            for (std::int64_t no = 0; no < cols; ++no) {
+              out[no] += mult[0] * pr[no * 2] + mult[1] * pr[no * 2 + 1];
+            }
+          } else {
+            for (std::int64_t no = 0; no < cols; ++no) {
+              const std::uint32_t* pp = pr + no * g.q;
+              std::uint32_t acc = 0;
+              for (int t = 0; t < g.q; ++t) {
+                if ((elide_x >> t) & 1) continue;
+                acc += mult[t] * pp[t];
+              }
+              out[no] += acc;
+            }
+          }
+          break;
+        case EmulationCase::kCaseII:
+          if (g.q == 1) {
+            for (std::int64_t no = 0; no < cols; ++no) {
+              out[no] += mult[0] * (k32 - 2 * pr[no]);
+            }
+          } else {
+            for (std::int64_t no = 0; no < cols; ++no) {
+              const std::uint32_t* pp = pr + no * g.q;
+              std::uint32_t acc = 0;
+              for (int t = 0; t < g.q; ++t) {
+                acc += mult[t] * (k32 - 2 * pp[t]);
+              }
+              out[no] += acc;
+            }
+          }
+          break;
+        case EmulationCase::kCaseIII:
+          if (g.q == 1) {
+            for (std::int64_t no = 0; no < cols; ++no) {
+              out[no] += mult[0] * (2 * pr[no] - xp[no]);
+            }
+          } else if (g.q == 2) {
+            for (std::int64_t no = 0; no < cols; ++no) {
+              out[no] += mult[0] * (2 * pr[no * 2] - xp[no * 2]) +
+                         mult[1] * (2 * pr[no * 2 + 1] - xp[no * 2 + 1]);
+            }
+          } else {
+            for (std::int64_t no = 0; no < cols; ++no) {
+              const std::uint32_t* pp = pr + no * g.q;
+              const std::uint32_t* xpp = xp + no * g.q;
+              std::uint32_t acc = 0;
+              for (int t = 0; t < g.q; ++t) {
+                if ((elide_x >> t) & 1) continue;
+                acc += mult[t] * (2 * pp[t] - xpp[t]);
+              }
+              out[no] += acc;
+            }
+          }
+          break;
+      }
+    }
+  };
 
   geometry_pool(g).parallel_for(0, g.blocks, [&](std::int64_t b) {
     // Every temporary below is a pointer bump into the worker's private
@@ -356,330 +421,160 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
     microkernel::block_bitgemm(sel.bit_op, wrows, g.vtm8, bsrc, g.row_words,
                                raw, arena, g.micro, g.sparsity);
 
-    // Fused conv tail: correction -> BN/ReLU -> pool -> quantize/store, all
-    // inside the block (no full-output pass exists downstream). The walk is
-    // m-outer so `raw` is read row-major (the same cache-friendly order as
-    // the APMM combine); the pool windows of all the block's columns are
-    // reduced per output row.
-    if (tail.active()) {
-      const layout::ConvGeometry& cg = *tail.g;
-      const std::int64_t oh = cg.out_h(), ow = cg.out_w();
-      const std::int64_t win = tail.pool.active() ? tail.pool.size : 1;
-      const std::int64_t wsz = win * win;
-      const bool max_pool = tail.pool.kind == PoolSpec::Kind::kMax;
-      APNN_DCHECK(n0 % wsz == 0 && n_end % wsz == 0)
-          << "conv blocks must be pool-window aligned (make_geometry "
-             "col_align)";
-      const std::int64_t cols = n_end - n0;
-      const std::int64_t nwin = cols / wsz;
-      const bool pre_active = epi.has_bn || epi.has_relu;
+    // Block epilogue, the host analogue of the in-SHMEM plane reduction
+    // followed by the in-register epilogue: one combined output row at a
+    // time (m-outer, so `raw` is read row-major) in flat vectorizable
+    // passes over an L1-resident row —
+    //   (1) the bit combination (combine_row),
+    //   (2) the conv tail's border correction, then BN/ReLU with the
+    //       channel's scale/bias held in scalars,
+    //   (3) the conv tail's pooling over the win² *contiguous* columns of
+    //       each window (the window-major column order makes them adjacent),
+    //   (4) quantize + mask build, or the dense store.
+    // A dense APMM row is contiguous in y, so it is combined in place.
+    const std::int64_t win =
+        tail.active() && tail.pool.active() ? tail.pool.size : 1;
+    const std::int64_t wsz = win * win;
+    const bool max_pool = tail.pool.kind == PoolSpec::Kind::kMax;
+    APNN_DCHECK(n0 % wsz == 0 && n_end % wsz == 0)
+        << "conv blocks must be pool-window aligned (make_geometry "
+           "col_align)";
+    const std::int64_t cols = n_end - n0;
+    const std::int64_t nwin = cols / wsz;
+    const bool pre_active = epi.has_bn || epi.has_relu;
+    const std::uint32_t* xp = sel.kind == EmulationCase::kCaseIII
+                                  ? xpopc.data() + n0 * g.q
+                                  : nullptr;
 
-      // Per-column index of the Case-II correction entry, hoisted out of
-      // the m loop (the mapping depends only on the column).
-      const std::int32_t* corr_idx = nullptr;
-      if (tail.corr != nullptr) {
-        std::int32_t* idx = arena.get<std::int32_t>(cols);
+    // Per-column index of the Case-II correction entry, hoisted out of the
+    // m loop (the mapping depends only on the column).
+    const std::int32_t* corr_idx = nullptr;
+    if (tail.corr != nullptr) {
+      std::int32_t* idx = arena.get<std::int32_t>(cols);
+      for (std::int64_t no = 0; no < cols; ++no) {
+        const layout::OutPos pos = layout::conv_col_position(
+            *tail.g, n0 + no, static_cast<int>(win));
+        idx[no] = static_cast<std::int32_t>(pos.oy * tail.g->out_w() +
+                                            pos.ox);
+      }
+      corr_idx = idx;
+    }
+
+    // Quantized output is transposed for the next layer: the codes of
+    // output row m land at bit m of packed rows n0/wsz + [0, nwin). When om
+    // is not a multiple of 64 those bit spans share 64-bit words with the
+    // horizontally adjacent blocks, so the block builds all its masks in
+    // scratch, masks[(plane * nw + word) * nwin + wloc], and publishes them
+    // with one atomic OR per touched word (§4.1b repack).
+    const std::int64_t w_lo = m0 >> 6;
+    const std::int64_t nw = ((m_end - 1) >> 6) - w_lo + 1;
+    std::uint64_t* masks = nullptr;
+    if (qbits > 0) {
+      masks = arena.get<std::uint64_t>(qbits * nw * nwin);
+      std::fill_n(masks, qbits * nw * nwin, 0);
+    }
+
+    const bool in_place = !tail.active() && qbits == 0;
+    std::int32_t* buf = in_place ? nullptr : arena.get<std::int32_t>(cols);
+    for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
+      const std::int64_t m = m0 + mo;
+      std::int32_t* yrow = in_place ? y->data() + m * g.n + n0 : buf;
+      combine_row(raw + mo * g.p * g.vtn8, xp, cols,
+                  reinterpret_cast<std::uint32_t*>(yrow));
+      if (corr_idx != nullptr) {
+        const std::int32_t* mcorr =
+            tail.corr + m * tail.g->out_h() * tail.g->out_w();
         for (std::int64_t no = 0; no < cols; ++no) {
-          const layout::OutPos pos = layout::conv_col_position(
-              cg, n0 + no, static_cast<int>(win));
-          idx[no] = static_cast<std::int32_t>(pos.oy * ow + pos.ox);
+          yrow[no] -= mcorr[corr_idx[no]];
         }
-        corr_idx = idx;
       }
-
-      // Quantized output: bits land at columns [m0, m_end) of the packed
-      // rows this block's windows map to; spans sharing 64-bit words with
-      // horizontally adjacent blocks are merged with one atomic OR per
-      // touched word (§4.1b repack). The m-outer walk accumulates all the
-      // block's window masks and publishes them once at the end.
-      const std::int64_t w_lo = m0 >> 6;
-      const std::int64_t w_hi = (m_end - 1) >> 6;
-      const std::int64_t nw = w_hi - w_lo + 1;
-      std::uint64_t* masks = nullptr;
-      if (qbits > 0) {
-        masks = arena.get<std::uint64_t>(nwin * qbits * nw);
-        std::fill_n(masks, nwin * qbits * nw, 0);
-      }
-
-      // One combined output row at a time, in four flat vectorizable
-      // passes over an L1-resident row buffer — the host analogue of the
-      // in-SHMEM plane reduction followed by the in-register epilogue:
-      //   (1) per-(s,t) specialized bit combination (case switch hoisted
-      //       out of the element loop),
-      //   (2) border correction + BN/ReLU with the channel's scale/bias
-      //       held in scalars,
-      //   (3) pooling over the win² *contiguous* columns of each window
-      //       (the window-major column order makes them adjacent),
-      //   (4) quantize + mask build, or the dense NHWC store.
-      std::int32_t* yrow = arena.get<std::int32_t>(cols);
-      const auto k32 = static_cast<std::int32_t>(g.k);
-      for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
-        const std::int64_t m = m0 + mo;
-        std::fill_n(yrow, cols, 0);
-        for (int s = 0; s < g.p && !all_x_elided; ++s) {
-          if ((elide_w >> s) & 1) continue;  // whole-plane term is zero
-          const std::int32_t* pr = raw + (mo * g.p + s) * g.vtn8;
-          const std::int64_t ws = wmult[static_cast<std::size_t>(s)];
-          // 16 is the plane-count ceiling enforced by bitops::decompose /
-          // layout::pack_activations.
-          APNN_DCHECK(g.q <= 16) << "q=" << g.q;
-          std::int32_t mult[16];
-          for (int t = 0; t < g.q; ++t) {
-            mult[t] = static_cast<std::int32_t>(
-                ws * xmult[static_cast<std::size_t>(t)]);
-          }
-          // All q plane partials of a column sit adjacent in `pr`, so each
-          // pass reads contiguously; q = 1 (the BNN case) and q = 2 (the
-          // dominant w1a2 stages) get flat unrolled maps.
-          switch (sel.kind) {
-            case EmulationCase::kCaseI:
-              if (g.q == 1) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] += mult[0] * pr[no];
-                }
-              } else if (g.q == 2) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] +=
-                      mult[0] * pr[no * 2] + mult[1] * pr[no * 2 + 1];
-                }
-              } else {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  const std::int32_t* pp = pr + no * g.q;
-                  std::int32_t acc = 0;
-                  for (int t = 0; t < g.q; ++t) {
-                    if ((elide_x >> t) & 1) continue;
-                    acc += mult[t] * pp[t];
-                  }
-                  yrow[no] += acc;
-                }
-              }
-              break;
-            case EmulationCase::kCaseII:
-              if (g.q == 1) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] += mult[0] * (k32 - 2 * pr[no]);
-                }
-              } else {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  const std::int32_t* pp = pr + no * g.q;
-                  std::int32_t acc = 0;
-                  for (int t = 0; t < g.q; ++t) {
-                    acc += mult[t] * (k32 - 2 * pp[t]);
-                  }
-                  yrow[no] += acc;
-                }
-              }
-              break;
-            case EmulationCase::kCaseIII: {
-              const std::int64_t* xp = xpopc.data() + n0 * g.q;
-              if (g.q == 1) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] += mult[0] * (2 * pr[no] -
-                                         static_cast<std::int32_t>(xp[no]));
-                }
-              } else if (g.q == 2) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] +=
-                      mult[0] * (2 * pr[no * 2] -
-                                 static_cast<std::int32_t>(xp[no * 2])) +
-                      mult[1] * (2 * pr[no * 2 + 1] -
-                                 static_cast<std::int32_t>(xp[no * 2 + 1]));
-                }
-              } else {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  const std::int32_t* pp = pr + no * g.q;
-                  const std::int64_t* xpp = xp + no * g.q;
-                  std::int32_t acc = 0;
-                  for (int t = 0; t < g.q; ++t) {
-                    if ((elide_x >> t) & 1) continue;
-                    acc += mult[t] *
-                           (2 * pp[t] - static_cast<std::int32_t>(xpp[t]));
-                  }
-                  yrow[no] += acc;
-                }
-              }
-              break;
-            }
-          }
+      // The float arithmetic of Epilogue::apply with the channel's
+      // parameters hoisted (x*1+0 is exact, so the hoisted form also covers
+      // the BN-less ReLU and the bare quantizer).
+      const float scale =
+          epi.has_bn ? epi.bn.scale[static_cast<std::size_t>(m)] : 1.0f;
+      const float bias =
+          epi.has_bn ? epi.bn.bias[static_cast<std::size_t>(m)] : 0.0f;
+      if (qbits > 0 && !tail.active()) {
+        // APMM quantizes the epilogue's float itself; only the conv tail
+        // truncates to int first, so that it pools integers. max(v, -inf)
+        // is v, so one loop serves both ReLU settings.
+        const float floor_v = epi.has_relu
+                                  ? 0.0f
+                                  : -std::numeric_limits<float>::infinity();
+        for (std::int64_t no = 0; no < cols; ++no) {
+          const float v = static_cast<float>(yrow[no]) * scale + bias;
+          yrow[no] = quant::quantize_value(std::max(v, floor_v), epi.quant);
         }
-        if (corr_idx != nullptr) {
-          const std::int32_t* mcorr = tail.corr + m * oh * ow;
+      } else if (pre_active) {
+        if (epi.has_relu) {
           for (std::int64_t no = 0; no < cols; ++no) {
-            yrow[no] -= mcorr[corr_idx[no]];
-          }
-        }
-        if (pre_active) {
-          // Identical float arithmetic to Epilogue::apply with the per-
-          // channel parameters hoisted (x*1+0 is exact, so the hoisted
-          // form also covers the BN-less ReLU).
-          const float scale =
-              epi.has_bn ? epi.bn.scale[static_cast<std::size_t>(m)] : 1.0f;
-          const float bias =
-              epi.has_bn ? epi.bn.bias[static_cast<std::size_t>(m)] : 0.0f;
-          if (epi.has_relu) {
-            for (std::int64_t no = 0; no < cols; ++no) {
-              const float v = static_cast<float>(yrow[no]) * scale + bias;
-              yrow[no] = static_cast<std::int32_t>(v < 0.0f ? 0.0f : v);
-            }
-          } else {
-            for (std::int64_t no = 0; no < cols; ++no) {
-              yrow[no] = static_cast<std::int32_t>(
-                  static_cast<float>(yrow[no]) * scale + bias);
-            }
-          }
-        }
-        if (wsz > 1) {
-          if (max_pool) {
-            for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-              const std::int32_t* src = yrow + wloc * wsz;
-              std::int32_t agg = src[0];
-              for (std::int64_t e = 1; e < wsz; ++e) {
-                agg = std::max(agg, src[e]);
-              }
-              yrow[wloc] = agg;
-            }
-          } else {
-            for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-              const std::int32_t* src = yrow + wloc * wsz;
-              std::int64_t agg = 0;
-              for (std::int64_t e = 0; e < wsz; ++e) agg += src[e];
-              // The device epilogue truncates the average (see PoolSpec).
-              yrow[wloc] = static_cast<std::int32_t>(agg / wsz);
-            }
-          }
-        }
-        if (qbits > 0) {
-          const std::int64_t wi = (m >> 6) - w_lo;
-          const std::uint64_t bit = std::uint64_t{1} << (m & 63);
-          for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-            const std::int32_t code = quant::quantize_value(
-                static_cast<float>(yrow[wloc]), epi.quant);
-            for (int plane = 0; plane < qbits; ++plane) {
-              if ((code >> plane) & 1) {
-                masks[(wloc * qbits + plane) * nw + wi] |= bit;
-              }
-            }
+            const float v = static_cast<float>(yrow[no]) * scale + bias;
+            yrow[no] = static_cast<std::int32_t>(v < 0.0f ? 0.0f : v);
           }
         } else {
-          const std::int64_t widx0 = n0 / wsz;
-          std::int32_t* dst = y->data() + widx0 * cg.out_c + m;
+          for (std::int64_t no = 0; no < cols; ++no) {
+            yrow[no] = static_cast<std::int32_t>(
+                static_cast<float>(yrow[no]) * scale + bias);
+          }
+        }
+      }
+      if (wsz > 1) {  // conv tail only
+        if (max_pool) {
           for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-            dst[wloc * cg.out_c] = yrow[wloc];
+            const std::int32_t* src = yrow + wloc * wsz;
+            std::int32_t agg = src[0];
+            for (std::int64_t e = 1; e < wsz; ++e) {
+              agg = std::max(agg, src[e]);
+            }
+            yrow[wloc] = agg;
+          }
+        } else {
+          for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+            const std::int32_t* src = yrow + wloc * wsz;
+            std::int64_t agg = 0;
+            for (std::int64_t e = 0; e < wsz; ++e) agg += src[e];
+            // The device epilogue truncates the average (see PoolSpec).
+            yrow[wloc] = static_cast<std::int32_t>(agg / wsz);
           }
         }
       }
       if (qbits > 0) {
-        for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-          const std::int64_t widx = (n0 + wloc * wsz) / wsz;
-          for (int plane = 0; plane < qbits; ++plane) {
-            std::uint64_t* row =
-                packed->planes[static_cast<std::size_t>(plane)].row(widx) +
-                w_lo;
-            for (std::int64_t wwi = 0; wwi < nw; ++wwi) {
-              const std::uint64_t mask =
-                  masks[(wloc * qbits + plane) * nw + wwi];
-              if (mask != 0) {
-                std::atomic_ref<std::uint64_t>(row[wwi]).fetch_or(
-                    mask, std::memory_order_relaxed);
-              }
-            }
+        if (tail.active()) {
+          for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+            yrow[wloc] = quant::quantize_value(
+                static_cast<float>(yrow[wloc]), epi.quant);
           }
         }
-      }
-      return;
-    }
-
-    // Bit combination + epilogue for the block's output elements.
-    if (!epi.has_quant) {
-      const bool fast = g.p == 1 && g.q == 1 && epi.identity();
-      const std::int64_t cols = n_end - n0;
-      for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
-        const std::int64_t m = m0 + mo;
-        const std::int32_t* raw_row = raw + (mo * g.p) * g.vtn8;
-        std::int32_t* yrow = y->data() + m * g.n + n0;
-        if (fast) {
-          if ((elide_w | elide_x) != 0) {
-            // p = q = 1 and the single plane pair has an elided side: every
-            // term is exactly zero (elision never applies under Case II).
-            std::fill_n(yrow, cols, 0);
-            continue;
-          }
-          // Single-plane identity combine: a branch-free elementwise map the
-          // compiler vectorizes (the p*q loop nest and the float epilogue
-          // round trip cost more than the bit kernel for 1-bit operands).
-          const auto mult = static_cast<std::int32_t>(wmult[0] * xmult[0]);
-          const auto k32 = static_cast<std::int32_t>(g.k);
-          switch (sel.kind) {
-            case EmulationCase::kCaseI:
-              for (std::int64_t no = 0; no < cols; ++no) {
-                yrow[no] = mult * raw_row[no];
-              }
-              break;
-            case EmulationCase::kCaseII:
-              for (std::int64_t no = 0; no < cols; ++no) {
-                yrow[no] = mult * (k32 - 2 * raw_row[no]);
-              }
-              break;
-            case EmulationCase::kCaseIII:
-              for (std::int64_t no = 0; no < cols; ++no) {
-                const auto xp =
-                    static_cast<std::int32_t>(xpopc[(n0 + no) * g.q]);
-                yrow[no] = mult * (2 * raw_row[no] - xp);
-              }
-              break;
-          }
-          continue;
-        }
-        for (std::int64_t no = 0; no < cols; ++no) {
-          const std::int64_t n = n0 + no;
-          const std::int64_t* xp_col =
-              xpopc.empty() ? nullptr : xpopc.data() + n * g.q;
-          const std::int64_t acc =
-              combine_element(g, sel, raw_row + no * g.q, wmult.data(),
-                              xmult.data(), xp_col, elide_w, elide_x);
-          yrow[no] = epi.apply(static_cast<std::int32_t>(acc), m);
-        }
-      }
-      return;
-    }
-
-    // Quantized epilogue: packed output is transposed (N x M) for the next
-    // layer, so this block's bits land in packed rows [n0, n_end) at bit
-    // columns [m0, m_end). When om is not a multiple of 64 those bit spans
-    // share 64-bit words with the horizontally adjacent blocks — the seed's
-    // unsynchronized BitMatrix::set() raced there. Instead each block builds
-    // its span masks in scratch and publishes them with one atomic OR per
-    // touched word.
-    const std::int64_t w_lo = m0 >> 6;
-    const std::int64_t w_hi = (m_end - 1) >> 6;
-    const std::int64_t nw = w_hi - w_lo + 1;
-    std::uint64_t* masks = arena.get<std::uint64_t>(nw * qbits);
-    for (std::int64_t no = 0; no < n_end - n0; ++no) {
-      const std::int64_t n = n0 + no;
-      const std::int64_t* xp_col =
-          xpopc.empty() ? nullptr : xpopc.data() + n * g.q;
-      std::fill_n(masks, nw * qbits, 0);
-      for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
-        const std::int64_t m = m0 + mo;
-        const std::int64_t acc =
-            combine_element(g, sel, raw + (mo * g.p) * g.vtn8 + no * g.q,
-                            wmult.data(), xmult.data(), xp_col, elide_w,
-                            elide_x);
-        const std::int32_t out = epi.apply(static_cast<std::int32_t>(acc), m);
-        const std::int64_t wi = (m >> 6) - w_lo;
-        const std::uint64_t bit = std::uint64_t{1} << (m & 63);
+        // Bit m of every column's word, one flat pass per plane.
+        const auto sh = static_cast<unsigned>(m & 63);
+        const auto* codes = reinterpret_cast<const std::uint32_t*>(yrow);
         for (int plane = 0; plane < qbits; ++plane) {
-          if ((out >> plane) & 1) masks[plane * nw + wi] |= bit;
+          std::uint64_t* mk = masks + (plane * nw + (m >> 6) - w_lo) * nwin;
+          for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+            mk[wloc] |= std::uint64_t{(codes[wloc] >> plane) & 1u} << sh;
+          }
+        }
+      } else if (tail.active()) {
+        // Dense post-pool NHWC store.
+        std::int32_t* dst = y->data() + (n0 / wsz) * tail.g->out_c + m;
+        for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+          dst[wloc * tail.g->out_c] = yrow[wloc];
         }
       }
-      for (int plane = 0; plane < qbits; ++plane) {
-        std::uint64_t* row =
-            packed->planes[static_cast<std::size_t>(plane)].row(n) + w_lo;
-        for (std::int64_t wi = 0; wi < nw; ++wi) {
-          const std::uint64_t mask = masks[plane * nw + wi];
-          if (mask != 0) {
-            std::atomic_ref<std::uint64_t>(row[wi]).fetch_or(
-                mask, std::memory_order_relaxed);
+    }
+    if (qbits > 0) {
+      for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+        for (int plane = 0; plane < qbits; ++plane) {
+          std::uint64_t* row = packed->planes[static_cast<std::size_t>(plane)]
+                                   .row(n0 / wsz + wloc) +
+                               w_lo;
+          for (std::int64_t wi = 0; wi < nw; ++wi) {
+            const std::uint64_t mask = masks[(plane * nw + wi) * nwin + wloc];
+            if (mask != 0) {
+              std::atomic_ref<std::uint64_t>(row[wi]).fetch_or(
+                  mask, std::memory_order_relaxed);
+            }
           }
         }
       }

@@ -167,7 +167,7 @@ std::vector<std::uint8_t> encode_frame(MsgType type,
                                        std::vector<std::uint8_t> payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + payload.size());
-  out.insert(out.end(), kMagic, kMagic + 4);
+  for (const unsigned char c : kMagic) out.push_back(c);
   out.push_back(kProtocolVersion);
   out.push_back(static_cast<std::uint8_t>(type));
   put_u16(out, 0);  // reserved

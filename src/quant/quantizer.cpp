@@ -5,12 +5,6 @@
 
 namespace apnn::quant {
 
-std::int32_t quantize_value(float x, const QuantParams& p) {
-  const double q = std::floor((static_cast<double>(x) - p.zero_point) / p.scale);
-  return static_cast<std::int32_t>(
-      std::clamp<double>(q, 0.0, static_cast<double>(p.qmax())));
-}
-
 float dequantize_value(std::int32_t code, const QuantParams& p) {
   return static_cast<float>(p.zero_point + (code + 0.5) * p.scale);
 }

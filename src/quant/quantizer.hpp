@@ -3,6 +3,7 @@
 // plus symmetric signed helpers for weights.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,8 +20,15 @@ struct QuantParams {
   std::int32_t qmax() const { return (1 << bits) - 1; }
 };
 
-/// Quantizes one value with floor semantics (paper §5.2).
-std::int32_t quantize_value(float x, const QuantParams& p);
+/// Quantizes one value with floor semantics (paper §5.2). Floor is monotone
+/// and the bounds are integers, so clamping first and then truncating the
+/// non-negative result equals flooring first; unlike std::floor, this form
+/// lets the kernel epilogues vectorize their inlined per-row quantize passes.
+inline std::int32_t quantize_value(float x, const QuantParams& p) {
+  const double q = (static_cast<double>(x) - p.zero_point) / p.scale;
+  return static_cast<std::int32_t>(
+      std::min(std::max(q, 0.0), static_cast<double>(p.qmax())));
+}
 
 /// Midpoint dequantization: code -> z + (code + 0.5) * s.
 float dequantize_value(std::int32_t code, const QuantParams& p);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "src/bitops/decompose.hpp"
 #include "src/core/apmm.hpp"
@@ -259,6 +261,137 @@ TEST(ApmmEpilogue, PackedOutputSmallerThanInt32Store) {
       apmm(o.w, o.x, dev(), {}, quant_epi).profile.total_counters();
   // Minimal-traffic dataflow: 2-bit stores are 16x smaller than 32-bit.
   EXPECT_LT(cq.global_store_bytes, c32.global_store_bytes / 8);
+}
+
+// Differential sweep of the block epilogue: every emulation case and plane
+// count through every epilogue kind, on fixed tiles whose blocks share
+// 64-bit output words, against naive_gemm followed by Epilogue::apply.
+// Quantized outputs are compared after bitops::recompose.
+
+struct SweepEncoding {
+  Encoding w_enc;
+  int p;
+  Encoding x_enc;
+  int q;
+};
+
+std::vector<SweepEncoding> sweep_encodings() {
+  std::vector<SweepEncoding> out;
+  out.push_back({Encoding::kSignedPM1, 1, Encoding::kSignedPM1, 1});  // II
+  for (int q = 1; q <= 4; ++q) {
+    out.push_back({Encoding::kSignedPM1, 1, Encoding::kUnsigned01, q});  // III
+  }
+  for (int p = 1; p <= 4; ++p) {
+    for (int q = 1; q <= 4; ++q) {
+      out.push_back({Encoding::kUnsigned01, p, Encoding::kUnsigned01, q});
+      out.push_back({Encoding::kTwosComplement, p, Encoding::kUnsigned01, q});
+    }
+  }
+  return out;
+}
+
+/// Clears bit-plane `plane` of every value (two's complement reinterprets
+/// the remaining `bits`-bit pattern), so the decomposed plane is all zero.
+void clear_plane(Tensor<std::int32_t>& t, Encoding enc, int bits,
+                 int plane) {
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    std::int32_t u = (t[i] & ((1 << bits) - 1)) & ~(1 << plane);
+    if (enc == Encoding::kTwosComplement && ((u >> (bits - 1)) & 1)) {
+      u -= 1 << bits;
+    }
+    t[i] = u;
+  }
+}
+
+std::vector<Epilogue> sweep_epilogues(std::int64_t m, std::int32_t hi,
+                                      Rng& rng) {
+  Epilogue bn;
+  bn.has_bn = true;
+  for (std::int64_t i = 0; i < m; ++i) {
+    bn.bn.scale.push_back(static_cast<float>(rng.uniform(-2.0, 2.0)));
+    bn.bn.bias.push_back(static_cast<float>(rng.uniform(-20.0, 20.0)));
+  }
+  Epilogue bn_relu = bn;
+  bn_relu.has_relu = true;
+  std::vector<Epilogue> out = {Epilogue{}, bn, bn_relu};
+  for (int bits = 1; bits <= 3; ++bits) {
+    Epilogue q;
+    q.has_relu = true;
+    q.has_quant = true;
+    q.quant.bits = bits;
+    q.quant.scale = std::max(1.0, static_cast<double>(hi) / (1 << bits));
+    q.quant.zero_point = -0.5;
+    out.push_back(q);
+  }
+  Epilogue bn_relu_q = bn_relu;
+  bn_relu_q.has_quant = true;
+  bn_relu_q.quant.bits = 2;
+  bn_relu_q.quant.scale = std::max(1.0, static_cast<double>(hi) / 4);
+  out.push_back(bn_relu_q);
+  return out;
+}
+
+TEST(ApmmEpilogue, DifferentialSweepMatchesNaiveGemmThenApply) {
+  const std::int64_t ms[] = {1, 63, 65, 130};
+  const std::int64_t ns[] = {97, 70, 37, 129};
+  const int tiles[] = {16, 32, 64, 128};
+  std::uint64_t seed = 0;
+  for (const SweepEncoding& e : sweep_encodings()) {
+    for (int mi = 0; mi < 4; ++mi) {
+      Rng rng(++seed);
+      const std::int64_t m = ms[mi], n = ns[mi], k = mi % 2 ? 75 : 200;
+      auto wl = random_logical(rng, m, k, e.w_enc, e.p);
+      auto xl = random_logical(rng, n, k, e.x_enc, e.q);
+      // One all-zero plane so plane elision runs: an activation plane on
+      // the third shape, a Case-I weight plane on the fourth.
+      if (mi == 2 && e.x_enc == Encoding::kUnsigned01) {
+        clear_plane(xl, e.x_enc, e.q, static_cast<int>(seed % e.q));
+      }
+      if (mi == 3 && e.w_enc != Encoding::kSignedPM1) {
+        clear_plane(wl, e.w_enc, e.p, static_cast<int>(seed % e.p));
+      }
+      const ApOperand w = make_operand(wl, e.w_enc, e.p);
+      const ApOperand x = make_operand(xl, e.x_enc, e.q);
+      const Tensor<std::int32_t> ref = naive_gemm(wl, xl);
+      std::int32_t hi = 1;
+      for (std::int64_t i = 0; i < ref.numel(); ++i) hi = std::max(hi, ref[i]);
+
+      for (const Epilogue& epi : sweep_epilogues(m, hi, rng)) {
+        for (int ti = 0; ti < 4; ++ti) {
+          ApmmOptions opts;
+          opts.autotune = false;
+          opts.tile.bm = tiles[ti];
+          opts.tile.bn = tiles[(ti + mi + 1) % 4];
+          opts.collect_profile = false;
+          const ApmmResult r = apmm(w, x, dev(), opts, epi);
+          SCOPED_TRACE(::testing::Message()
+                       << "w enc " << static_cast<int>(e.w_enc) << " p="
+                       << e.p << ", x enc " << static_cast<int>(e.x_enc)
+                       << " q=" << e.q << ", " << m << "x" << n << "x" << k
+                       << ", tile " << opts.tile.bm << "x" << opts.tile.bn
+                       << ", bn=" << epi.has_bn << " relu=" << epi.has_relu
+                       << " quant=" << epi.output_bits());
+          const std::vector<std::int32_t> codes =
+              epi.has_quant ? bitops::recompose(r.packed)
+                            : std::vector<std::int32_t>{};
+          std::int64_t bad = 0;
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              const std::int32_t got =
+                  epi.has_quant ? codes[static_cast<std::size_t>(j * m + i)]
+                                : r.y(i, j);
+              const std::int32_t want = epi.apply(ref(i, j), i);
+              if (got != want && bad++ == 0) {
+                ADD_FAILURE() << "first mismatch at (" << i << "," << j
+                              << "): " << got << " vs " << want;
+              }
+            }
+          }
+          EXPECT_EQ(bad, 0);
+        }
+      }
+    }
+  }
 }
 
 // --- cost-model integration -----------------------------------------------------

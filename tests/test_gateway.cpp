@@ -241,7 +241,7 @@ TEST(WireCodec, ErrorAndListRoundTrip) {
 }
 
 TEST(WireCodec, ErrorTaxonomyMirrorsErrorKind) {
-  for (int k = 0; k < kErrorKindCount; ++k) {
+  for (std::size_t k = 0; k < kErrorKindCount; ++k) {
     const auto kind = static_cast<ErrorKind>(k);
     EXPECT_EQ(static_cast<std::uint16_t>(wire::wire_error_for(kind)),
               static_cast<std::uint16_t>(k) + 1);

@@ -210,7 +210,7 @@ TEST(BitTranspose, PlanesMatchNaiveGetSet) {
   // The word-granular tile kernel against the bit-by-bit loop it replaced,
   // across shapes that hit partial tiles on both axes.
   Rng rng(77);
-  for (const auto [rows, cols] :
+  for (const auto& [rows, cols] :
        {std::pair<std::int64_t, std::int64_t>{64, 64},
         {1, 1},
         {63, 65},

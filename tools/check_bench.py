@@ -85,9 +85,12 @@ GATES = {
     "BENCH_apmm_hotpath.json": {
         "m": "info", "n": "info", "k": "info",
         "tile_bm": "info", "tile_bn": "info", "reps": "info",
+        "hardware_threads": "info",
         "seed_ms": "ms_ceiling", "microkernel_ms": "ms_ceiling",
         "seed_gops": "info", "microkernel_gops": "info",
         "speedup": "ratio_floor",
+        "scores_w2a2_seq512_millis": "ms_ceiling",
+        "proj_w1a2_quant_seq512_millis": "ms_ceiling",
     },
     "BENCH_apmm_sparsity.json": _sweep_gates(),
     "BENCH_apnn_forward_hotpath.json": {
