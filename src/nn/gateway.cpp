@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/common/check.hpp"
 #include "src/common/json.hpp"
 #include "src/common/strings.hpp"
 #include "src/common/timer.hpp"
@@ -144,45 +145,41 @@ void Gateway::count_wire_error(wire::WireError code) {
   counters_.wire_errors[static_cast<std::uint16_t>(code)] += 1;
 }
 
-wire::InferResponse Gateway::run_infer(const wire::InferRequest& req) {
+wire::InferResponse Gateway::run_infer(const wire::InferRequest& req,
+                                       FrameBuffers& buf) {
   const InferenceServer::Deadline deadline =
       req.deadline_ms > 0
           ? std::chrono::steady_clock::now() +
                 std::chrono::milliseconds(req.deadline_ms)
           : InferenceServer::kNoDeadline;
-  const std::size_t per_sample =
-      static_cast<std::size_t>(req.h) * req.w * req.c;
-  Tensor<std::int32_t> sample({req.h, req.w, req.c});
+  buf.codes.reset_shape({req.count, req.h, req.w, req.c});
+  APNN_CHECK(req.samples.size() == static_cast<std::size_t>(buf.codes.numel()))
+      << "INFER carries " << req.samples.size() << " codes for "
+      << buf.codes.numel();
+  std::copy(req.samples.begin(), req.samples.end(), buf.codes.data());
+  // The frame's samples are admitted together and may overlap across
+  // replicas, so the frame is the one latency observation. A failed sample
+  // fails the whole frame: the client sees one ERROR for the batch, never
+  // a partial response (PROTOCOL.md §4.1).
+  WallTimer timer;
+  registry_.infer_frame(req.model, buf.codes, &buf.logits, deadline,
+                        req.seq_len);
+  const double ms = timer.millis();
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    latency_[req.model].record(ms);
+  }
   wire::InferResponse resp;
   resp.count = req.count;
-  for (std::uint16_t s = 0; s < req.count; ++s) {
-    const std::uint8_t* src = req.samples.data() + s * per_sample;
-    for (std::size_t i = 0; i < per_sample; ++i) {
-      sample[static_cast<std::int64_t>(i)] = src[i];
-    }
-    WallTimer timer;
-    // A failed sample fails the whole frame: the client sees one ERROR for
-    // the batch, never a partial response (PROTOCOL.md §4.1).
-    const Tensor<std::int32_t> logits =
-        registry_.infer(req.model, sample, deadline, req.seq_len);
-    const double ms = timer.millis();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      latency_[req.model].record(ms);
-    }
-    if (s == 0) {
-      resp.classes = static_cast<std::uint32_t>(logits.numel());
-      resp.logits.reserve(static_cast<std::size_t>(req.count) * resp.classes);
-    }
-    for (std::int64_t i = 0; i < logits.numel(); ++i) {
-      resp.logits.push_back(logits[i]);
-    }
-  }
+  resp.classes = static_cast<std::uint32_t>(buf.logits.dim(1));
+  resp.logits.assign(buf.logits.data(),
+                     buf.logits.data() + buf.logits.numel());
   return resp;
 }
 
 void Gateway::serve_binary(net::Socket& sock) {
   wire::Frame frame;
+  FrameBuffers buf;
   while (true) {
     try {
       if (!wire::read_frame(sock, &frame, opts_.max_frame_bytes)) return;
@@ -204,7 +201,7 @@ void Gateway::serve_binary(net::Socket& sock) {
         case wire::MsgType::kInfer: {
           const wire::InferRequest req =
               wire::decode_infer_request(frame.payload);
-          const wire::InferResponse resp = run_infer(req);
+          const wire::InferResponse resp = run_infer(req, buf);
           wire::write_frame(sock, wire::MsgType::kInferOk,
                             wire::encode_infer_response(resp));
           break;
@@ -345,6 +342,7 @@ std::int64_t opt_int(const json::Value& v, const char* key,
 
 void Gateway::serve_json(net::Socket& sock) {
   std::string buf;
+  FrameBuffers frame_buf;
   char chunk[4096];
   while (true) {
     // Pull complete lines out of the buffer; refill from the socket when
@@ -417,7 +415,7 @@ void Gateway::serve_json(net::Socket& sock) {
           }
           ireq.samples.push_back(static_cast<std::uint8_t>(code));
         }
-        const wire::InferResponse resp = run_infer(ireq);
+        const wire::InferResponse resp = run_infer(ireq, frame_buf);
         reply = strf("{\"ok\":true,\"classes\":%u,\"logits\":[",
                      resp.classes);
         for (std::size_t i = 0; i < resp.logits.size(); ++i) {
@@ -666,7 +664,7 @@ std::string Gateway::prometheus_text() const {
     }
   }
   metric_header(out, "apnn_model_latency_ms",
-                "Gateway-measured per-sample serving latency quantiles "
+                "Gateway-measured per-frame serving latency quantiles "
                 "(log-bucket upper bounds).",
                 "summary");
   for (const auto& m : models) {

@@ -115,9 +115,18 @@ class Gateway {
   void serve_http(net::Socket& sock);
   void reap_finished_locked();
 
-  /// Runs one decoded INFER against the registry, recording per-model
-  /// gateway latency. Throws wire::RemoteError / ServerError upward.
-  wire::InferResponse run_infer(const wire::InferRequest& req);
+  /// One connection's INFER buffers, reused frame to frame: the frame's
+  /// codes widened into one {count, h, w, c} tensor, and its logits.
+  struct FrameBuffers {
+    Tensor<std::int32_t> codes;
+    Tensor<std::int32_t> logits;
+  };
+
+  /// Runs one decoded INFER frame against the registry as one call,
+  /// recording its wall time as one per-model latency observation. Throws
+  /// wire::RemoteError / ServerError upward.
+  wire::InferResponse run_infer(const wire::InferRequest& req,
+                                FrameBuffers& buf);
 
   void count_wire_error(wire::WireError code);
 

@@ -312,9 +312,11 @@ void ModelRegistry::reload(const std::string& id) {
   // `old` keeps serving its in-flight requests and drains on release.
 }
 
-Tensor<std::int32_t> ModelRegistry::infer(
-    const std::string& id, const Tensor<std::int32_t>& sample_u8,
-    InferenceServer::Deadline deadline, std::int64_t seq_len) {
+void ModelRegistry::infer_frame(const std::string& id,
+                                const Tensor<std::int32_t>& frame_u8,
+                                Tensor<std::int32_t>* logits,
+                                InferenceServer::Deadline deadline,
+                                std::int64_t seq_len) {
   // Snapshot the entry: a concurrent unload/reload cannot destroy the pool
   // under this request, and the route costs one lock'd list walk.
   std::shared_ptr<Entry> entry = find(id);
@@ -323,7 +325,7 @@ Tensor<std::int32_t> ModelRegistry::infer(
                             strf("unknown model '%s'", id.c_str()));
   }
   const std::int64_t sample_h =
-      sample_u8.rank() == 4 ? sample_u8.dim(1) : sample_u8.dim(0);
+      frame_u8.rank() == 4 ? frame_u8.dim(1) : frame_u8.dim(0);
   if (seq_len > 0) {
     if (entry->max_seq_bucket == 0) {
       throw wire::RemoteError(
@@ -347,7 +349,7 @@ Tensor<std::int32_t> ModelRegistry::infer(
              id.c_str(), static_cast<long long>(entry->input.h),
              static_cast<long long>(sample_h)));
   }
-  return entry->server->infer(sample_u8, deadline);
+  entry->server->infer_frame(frame_u8, logits, deadline);
 }
 
 std::vector<wire::ModelDescriptor> ModelRegistry::list() const {

@@ -39,13 +39,14 @@ struct ModelConfig {
   std::string id;
   std::string path;  ///< v2-serialized network file (nn/serialize.hpp)
 
-  std::int64_t max_batch = 8;
+  std::int64_t max_batch = ServerOptions{}.max_batch;
   /// 0 = derive via derive_topology against the registry's per-model budget.
   int replicas = 0;
   int slice_threads = 0;
   std::int64_t max_queue = 0;          ///< 0 = server default
   std::string admission = "block";     ///< block | reject | degrade
-  std::int64_t batch_window_us = 500;  ///< micro-batch formation window
+  /// Micro-batch formation window.
+  std::int64_t batch_window_us = ServerOptions{}.batch_window.count();
 };
 
 /// Top-level gateway configuration (the ini file's unsectioned keys plus
@@ -103,18 +104,19 @@ class ModelRegistry {
   /// after the swap land on the new pool. Other models are untouched.
   void reload(const std::string& id);
 
-  /// Routes one sample to `id`'s pool. `seq_len` is the wire-level
-  /// variable-length declaration: 0 means the sample must match the model's
-  /// input dims exactly (even for a dynamic-shape model); nonzero means
-  /// "this is a seq_len-token batch" and is only legal for a model with
-  /// sequence buckets (kMalformedFrame otherwise). Throws
-  /// wire::RemoteError(kUnknownModel) when no such model is routed, and
-  /// ServerError (the gateway maps its kind onto the wire) on serving
-  /// failures.
-  Tensor<std::int32_t> infer(const std::string& id,
-                             const Tensor<std::int32_t>& sample_u8,
-                             InferenceServer::Deadline deadline,
-                             std::int64_t seq_len = 0);
+  /// Routes one frame {N, H, W, C} to `id`'s pool and writes the logits
+  /// {N, classes} into *logits (InferenceServer::infer_frame). `seq_len` is
+  /// the wire-level variable-length declaration, checked once per frame: 0
+  /// means the samples must match the model's input dims exactly (even for
+  /// a dynamic-shape model); nonzero means "these are seq_len-token
+  /// samples" and is only legal for a model with sequence buckets
+  /// (kMalformedFrame otherwise). Throws wire::RemoteError(kUnknownModel)
+  /// when no such model is routed, and ServerError (the gateway maps its
+  /// kind onto the wire) on serving failures.
+  void infer_frame(const std::string& id, const Tensor<std::int32_t>& frame_u8,
+                   Tensor<std::int32_t>* logits,
+                   InferenceServer::Deadline deadline,
+                   std::int64_t seq_len = 0);
 
   /// Expected input dims + classes per routed model, in load order.
   std::vector<wire::ModelDescriptor> list() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <sstream>
 
 #include "src/common/check.hpp"
@@ -61,7 +62,11 @@ InferenceServer::Topology InferenceServer::derive_topology(
 InferenceServer::InferenceServer(const ApnnNetwork& net,
                                  const tcsim::DeviceSpec& dev,
                                  ServerOptions opts)
-    : net_(net), dev_(dev), input_shape_(net.spec().input), opts_(opts) {
+    : net_(net),
+      dev_(dev),
+      input_shape_(net.spec().input),
+      classes_(net.shapes().back().numel()),
+      opts_(opts) {
   seq_buckets_ = net.spec().seq_buckets;
   std::sort(seq_buckets_.begin(), seq_buckets_.end());
   seq_buckets_.erase(
@@ -237,15 +242,29 @@ Tensor<std::int32_t> InferenceServer::infer(
 
 Tensor<std::int32_t> InferenceServer::infer(
     const Tensor<std::int32_t>& sample_u8, Deadline deadline) {
+  Tensor<std::int32_t> logits;
+  serve(sample_u8, /*one_sample=*/true, &logits, deadline);
+  return logits;
+}
+
+void InferenceServer::infer_frame(const Tensor<std::int32_t>& frame_u8,
+                                  Tensor<std::int32_t>* logits,
+                                  Deadline deadline) {
+  serve(frame_u8, /*one_sample=*/false, logits, deadline);
+}
+
+void InferenceServer::serve(const Tensor<std::int32_t>& frame_u8,
+                            bool one_sample, Tensor<std::int32_t>* logits,
+                            Deadline deadline) {
   // Admission validation: a malformed sample (wrong shape, out-of-range
-  // code) throws here, in its own caller, and never joins a micro-batch.
+  // code) throws here, in its own caller, before any sample of its frame
+  // is queued — it never joins a micro-batch.
+  std::int64_t count = 0;
   try {
-    if (seq_buckets_.empty()) {
-      InferenceSession::validate_sample(input_shape_, sample_u8);
-    } else {
-      InferenceSession::validate_sample(input_shape_, seq_buckets_,
-                                        sample_u8);
-    }
+    count = InferenceSession::validate_frame(input_shape_, seq_buckets_,
+                                             frame_u8);
+    APNN_CHECK(!one_sample || count == 1)
+        << "sample must be one image: {H, W, C} or {1, H, W, C}";
   } catch (const Error& e) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -256,113 +275,172 @@ Tensor<std::int32_t> InferenceServer::infer(
   }
   faultinject::point(faultinject::kAdmission);
 
-  // Shared ownership: the queue, a dispatching replica and the monitor may
-  // all still hold the request after this caller has been failed out of it
-  // (deadline, stuck replica) — the control block keeps their pointers
-  // valid. The sample tensor itself stays caller-owned: it is only read
-  // under mu_ while the request is queued, and a queued request's client is
-  // by definition still parked below.
-  auto req = std::make_shared<Request>();
-  req->sample = &sample_u8;
-  req->deadline = deadline;
-  if (!seq_buckets_.empty()) {
-    // Resolve the bucket once, at admission — dispatchers group by it.
-    req->seq = sample_u8.dim(sample_u8.rank() == 4 ? 1 : 0);
-    for (std::int64_t b : seq_buckets_) {
-      if (b >= req->seq) {
-        req->bucket = b;
-        break;
-      }
+  if (one_sample) {
+    logits->reset_shape({classes_});
+  } else {
+    logits->reset_shape({count, classes_});
+  }
+  // One allocation per frame. The queue, a dispatching replica and the
+  // monitor may all still hold a request after this caller has been
+  // failed out of it (stuck replica) — the shared array keeps their
+  // pointers valid.
+  const std::shared_ptr<Request[]> reqs = std::make_shared<Request[]>(
+      static_cast<std::size_t>(count));
+  const std::int64_t seq = frame_u8.dim(frame_u8.rank() == 4 ? 1 : 0);
+  std::int64_t bucket = 0;
+  for (std::int64_t b : seq_buckets_) {
+    if (b >= seq) {  // resolved once, at admission — dispatchers group by it
+      bucket = b;
+      break;
     }
   }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++active_clients_;
-    struct ClientGuard {  // leaves the monitor on every path, throws included
-      InferenceServer* s;
-      ~ClientGuard() {
-        if (--s->active_clients_ == 0 && s->stop_) s->idle_cv_.notify_all();
+  const std::int64_t sample_elems = frame_u8.numel() / count;
+  for (std::int64_t i = 0; i < count; ++i) {
+    Request& r = reqs[static_cast<std::size_t>(i)];
+    r.codes = frame_u8.data() + i * sample_elems;
+    r.logits = logits->data() + i * classes_;
+    r.deadline = deadline;
+    if (!seq_buckets_.empty()) {
+      r.seq = seq;
+      r.bucket = bucket;
+    }
+  }
+
+  std::unique_lock<std::mutex> lock(mu_);
+  ++active_clients_;
+  struct ClientGuard {  // leaves the monitor on every path, throws included
+    InferenceServer* s;
+    ~ClientGuard() {
+      if (--s->active_clients_ == 0 && s->stop_) s->idle_cv_.notify_all();
+    }
+  } guard{this};
+  if (stop_) {
+    fail_caller_locked(ErrorKind::kShuttingDown, "server is shutting down");
+  }
+  if (no_replicas_) {
+    fail_caller_locked(ErrorKind::kReplicaFailed,
+                       "every replica is quarantined");
+  }
+  // Latency accounting starts at admission — backpressure time spent
+  // waiting for queue space below is part of the latency the bound
+  // creates, not overhead to hide.
+  const auto enqueued = std::chrono::steady_clock::now();
+  if (deadline != kNoDeadline && enqueued >= deadline) {
+    fail_caller_locked(ErrorKind::kDeadlineExceeded,
+                       "deadline expired before admission");
+  }
+  const auto free_slots = [&] {
+    return opts_.max_queue - static_cast<std::int64_t>(queue_.size());
+  };
+  if (count > free_slots()) {
+    if (opts_.admission == ServerOptions::Admission::kReject) {
+      ++stats_.rejected;
+      std::ostringstream os;
+      os << "admission queue full (" << queue_.size() << " of "
+         << opts_.max_queue << " slots taken; the frame needs " << count
+         << ")";
+      fail_caller_locked(ErrorKind::kQueueFull, os.str());
+    }
+    if (opts_.admission == ServerOptions::Admission::kDegrade) {
+      // Never block the newest caller: drop-head the oldest queued
+      // requests to free the frame's slots — but never the frame's own.
+      if (count > opts_.max_queue) {
+        std::ostringstream os;
+        os << "a frame of " << count << " samples exceeds the admission "
+           << "queue bound (" << opts_.max_queue << ")";
+        fail_caller_locked(ErrorKind::kQueueFull, os.str());
       }
-    } guard{this};
+      while (count > free_slots()) shed_oldest_locked();
+    }
+  }
+
+  // kBlock admits the samples as space frees; the other policies made room
+  // for all of them above, so this loop runs once.
+  std::int64_t admitted = 0;
+  for (;;) {
+    const std::int64_t before = admitted;
+    while (admitted < count && free_slots() > 0) {
+      Request& r = reqs[static_cast<std::size_t>(admitted)];
+      r.enqueued = enqueued;
+      queue_.emplace_back(reqs, &r);
+      ++admitted;
+    }
+    if (admitted > before) {
+      // stats().queue_depth is computed live from queue_.size(); only the
+      // peak needs recording here.
+      stats_.peak_queue_depth = std::max(
+          stats_.peak_queue_depth, static_cast<std::int64_t>(queue_.size()));
+      if (opts_.admission == ServerOptions::Admission::kDegrade &&
+          !degraded_ &&
+          static_cast<std::int64_t>(queue_.size()) >=
+              opts_.degrade_high_water) {
+        degraded_ = true;
+        ++stats_.degrade_entries;
+      }
+      queue_cv_.notify_one();
+    }
+    if (admitted == count) break;
+    if (std::any_of(reqs.get(), reqs.get() + admitted,
+                    [](const Request& r) { return r.failed; })) {
+      break;  // the frame is lost; settle withdraws the rest, reports why
+    }
+    ErrorKind kind = ErrorKind::kShuttingDown;
+    const char* why = nullptr;
     if (stop_) {
-      fail_caller_locked(ErrorKind::kShuttingDown, "server is shutting down");
+      why = "server is shutting down";
+    } else if (no_replicas_) {
+      kind = ErrorKind::kReplicaFailed;
+      why = "every replica is quarantined";
+    } else if (deadline != kNoDeadline &&
+               std::chrono::steady_clock::now() >= deadline) {
+      kind = ErrorKind::kDeadlineExceeded;
+      why = "deadline expired while blocked on admission backpressure";
     }
-    if (no_replicas_) {
-      fail_caller_locked(ErrorKind::kReplicaFailed,
-                         "every replica is quarantined");
+    if (why != nullptr) {
+      settle_frame_locked(lock, reqs.get(), admitted, /*failing=*/true);
+      fail_caller_locked(kind, why);
     }
-    // Latency accounting starts at admission — backpressure time spent
-    // waiting for queue space below is part of the latency the bound
-    // creates, not overhead to hide.
-    req->enqueued = std::chrono::steady_clock::now();
-    if (deadline != kNoDeadline && req->enqueued >= deadline) {
-      fail_caller_locked(ErrorKind::kDeadlineExceeded,
-                         "deadline expired before admission");
+    if (deadline != kNoDeadline) {
+      space_cv_.wait_until(lock, deadline);
+    } else {
+      space_cv_.wait(lock);
     }
-    if (static_cast<std::int64_t>(queue_.size()) >= opts_.max_queue) {
-      switch (opts_.admission) {
-        case ServerOptions::Admission::kReject: {
-          ++stats_.rejected;
-          std::ostringstream os;
-          os << "admission queue full (" << opts_.max_queue
-             << " requests queued)";
-          fail_caller_locked(ErrorKind::kQueueFull, os.str());
-          break;
-        }
-        case ServerOptions::Admission::kDegrade:
-          // Never block the newest caller: drop-head the oldest queued
-          // request to free its slot.
-          shed_oldest_locked();
-          break;
-        case ServerOptions::Admission::kBlock: {
-          while (static_cast<std::int64_t>(queue_.size()) >=
-                 opts_.max_queue) {
-            if (stop_) {
-              fail_caller_locked(ErrorKind::kShuttingDown,
-                                 "server is shutting down");
-            }
-            if (no_replicas_) {
-              fail_caller_locked(ErrorKind::kReplicaFailed,
-                                 "every replica is quarantined");
-            }
-            if (deadline != kNoDeadline) {
-              if (std::chrono::steady_clock::now() >= deadline) {
-                fail_caller_locked(ErrorKind::kDeadlineExceeded,
-                                   "deadline expired while blocked on "
-                                   "admission backpressure");
-              }
-              space_cv_.wait_until(lock, deadline);
-            } else {
-              space_cv_.wait(lock);
-            }
-          }
-          if (stop_) {
-            fail_caller_locked(ErrorKind::kShuttingDown,
-                               "server is shutting down");
-          }
-          if (no_replicas_) {
-            fail_caller_locked(ErrorKind::kReplicaFailed,
-                               "every replica is quarantined");
-          }
-          break;
-        }
-      }
-    }
-    queue_.push_back(req);
-    // stats().queue_depth is computed live from queue_.size(); only the
-    // peak needs recording here.
-    stats_.peak_queue_depth = std::max(
-        stats_.peak_queue_depth, static_cast<std::int64_t>(queue_.size()));
-    if (opts_.admission == ServerOptions::Admission::kDegrade && !degraded_ &&
-        static_cast<std::int64_t>(queue_.size()) >= opts_.degrade_high_water) {
-      degraded_ = true;
-      ++stats_.degrade_entries;
-    }
-    queue_cv_.notify_one();
-    done_cv_.wait(lock, [&] { return req->done; });
   }
-  if (req->failed) throw ServerError(req->error_kind, req->error_message);
-  return std::move(req->logits);
+  settle_frame_locked(lock, reqs.get(), admitted, /*failing=*/false);
+  for (std::int64_t i = 0; i < count; ++i) {
+    const Request& r = reqs[static_cast<std::size_t>(i)];
+    if (r.failed) throw ServerError(r.error_kind, r.error_message);
+  }
+}
+
+void InferenceServer::settle_frame_locked(std::unique_lock<std::mutex>& lock,
+                                          Request* reqs,
+                                          std::int64_t admitted,
+                                          bool failing) {
+  Request* const end = reqs + admitted;
+  const auto all_done = [&] {
+    return std::all_of(reqs, end, [](const Request& r) { return r.done; });
+  };
+  const auto any_failed = [&] {
+    return std::any_of(reqs, end, [](const Request& r) { return r.failed; });
+  };
+  if (!failing) done_cv_.wait(lock, [&] { return all_done() || any_failed(); });
+  if (all_done()) return;
+  // The frame is lost. Withdraw its still-queued samples: nobody will read
+  // their logits, and they must not read the caller's frame after it
+  // leaves. What remains is inside a replica's batch and completes there.
+  const std::less<const Request*> before;
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    Request* r = it->get();
+    if (!before(r, reqs) && before(r, end)) {
+      r->done = true;
+      it = queue_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  space_cv_.notify_all();
+  done_cv_.wait(lock, all_done);
 }
 
 SessionOptions InferenceServer::session_options_for(
@@ -417,6 +495,7 @@ void InferenceServer::dispatch_loop(std::size_t replica_index) {
         rep.exited = true;  // monitor: join me, then restart or quarantine
       }
       done_cv_.notify_all();
+      space_cv_.notify_all();  // a frame blocked on admission has lost a sample
       monitor_cv_.notify_all();
       return;
     }
@@ -465,8 +544,8 @@ bool InferenceServer::dispatch_cycle(std::size_t replica_index,
     }
     if (queue_.empty()) return true;
     // Dequeue and gather in one critical section: a queued request's
-    // client is parked in infer() (queued implies not done), so its
-    // caller-owned sample tensor is alive exactly here and only here.
+    // client is parked in serve() (queued implies not done), so its
+    // caller-owned frame is alive exactly here and only here.
     //
     // Dynamic-shape models batch by bucket: the head request picks the
     // bucket and the scan takes only same-bucket requests (FIFO within the
@@ -494,7 +573,7 @@ bool InferenceServer::dispatch_cycle(std::size_t replica_index,
       const std::int64_t in_elems =
           (seq_buckets_.empty() ? rows : r->seq) * row_elems;
       std::int32_t* dst = rep.batch_input.data() + i * rows * row_elems;
-      std::memcpy(dst, r->sample->data(),
+      std::memcpy(dst, r->codes,
                   sizeof(std::int32_t) * static_cast<std::size_t>(in_elems));
       if (in_elems < rows * row_elems) {
         std::memset(dst + in_elems, 0,
@@ -532,13 +611,13 @@ bool InferenceServer::dispatch_cycle(std::size_t replica_index,
   bool retire = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const std::int64_t classes = rep.batch_logits.dim(1);
+    const std::int64_t classes = classes_;
+    APNN_CHECK(rep.batch_logits.dim(1) == classes);
     std::int64_t served = 0;
     for (std::int64_t i = 0; i < b; ++i) {
       const RequestPtr& r = batch[static_cast<std::size_t>(i)];
       if (r->done) continue;  // the monitor already failed it (stuck cycle)
-      r->logits.reset_shape({classes});
-      std::memcpy(r->logits.data(), rep.batch_logits.data() + i * classes,
+      std::memcpy(r->logits, rep.batch_logits.data() + i * classes,
                   sizeof(std::int32_t) * static_cast<std::size_t>(classes));
       r->done = true;
       ++served;
@@ -658,6 +737,7 @@ void InferenceServer::monitor_loop() {
           }
         }
         done_cv_.notify_all();
+        space_cv_.notify_all();  // see dispatch_loop
       }
     }
   }

@@ -2,22 +2,32 @@
 // InferenceSessions, with a deadline-aware request lifecycle and
 // self-healing replicas.
 //
-// An InferenceServer accepts concurrent single-sample requests (blocking
-// infer() calls from any number of client threads) and micro-batches them
-// into session runs. Requests pass a bounded admission queue (backpressure:
-// block until space frees, reject immediately, or degrade — see
-// ServerOptions::admission) and are drained by N dispatcher replicas. Each
-// replica owns a compiled InferenceSession — its own ActivationSlab, batch
-// gather/scatter tensors, and a private ThreadPool slice of the hardware
+// An InferenceServer accepts concurrent requests (blocking infer() and
+// infer_frame() calls from any number of client threads) and micro-batches
+// their samples into session runs. A frame of N samples is admitted under
+// one lock, its samples queue side by side, and they may spread over
+// several replicas and batches; a single-sample infer() is the N = 1 frame.
+// Samples pass a bounded admission queue (backpressure: block until space
+// frees, reject immediately, or degrade — see ServerOptions::admission)
+// and are drained by N dispatcher replicas. Each replica owns a compiled
+// InferenceSession — its own ActivationSlab, batch gather/scatter
+// tensors, and a private ThreadPool slice of the hardware
 // (DESIGN.md §10), so replicas never share mutable kernel state and never
 // oversubscribe a global pool N×; the only cross-replica state is the
 // admission queue, the WorkStealGroup that lets idle slices absorb a
 // sibling's queued loop chunks, and the const network weights.
 //
-// Request lifecycle (DESIGN.md §9 has the full state machine):
+// Request lifecycle (DESIGN.md §9 has the full state machine); one
+// request is one sample of a frame:
 //
 //   admitted -> queued -> batched -> done(logits)
-//                              \-> done(ServerError)
+//                 |            \-> done(ServerError)
+//                 \-> withdrawn (a sibling sample failed the frame)
+//
+// A frame is all-or-nothing: the call returns the logits of every sample,
+// or throws the first failure in sample order. It returns only once every
+// admitted sample has completed or been withdrawn from the queue, because
+// queued requests read the caller's frame and write the caller's logits.
 //
 // Every way a request can fail is a typed ServerError whose ErrorKind the
 // Stats count per kind: the sample is malformed (kInvalidSample, failed at
@@ -122,8 +132,10 @@ enum class ReplicaHealth {
 const char* replica_health_name(ReplicaHealth health);
 
 struct ServerOptions {
-  /// Largest batch one session run may serve.
-  std::int64_t max_batch = 8;
+  /// Largest batch one session run may serve. 4 rather than 8: at 8 the
+  /// vgg_lite activation slab grows to ~1.26 MB per replica for little
+  /// throughput over 4 (docs/OPERATIONS.md §5).
+  std::int64_t max_batch = 4;
   /// How long a dispatcher holds an open batch waiting for more requests.
   /// Never held past the earliest deadline among the queued requests.
   std::chrono::microseconds batch_window{500};
@@ -157,12 +169,14 @@ struct ServerOptions {
   /// already inside the replicas). 0 derives as replicas * max_batch * 4.
   std::int64_t max_queue = 0;
 
-  /// What infer() does when the admission queue is full.
+  /// What infer() does when the admission queue cannot take a frame.
   enum class Admission {
-    kBlock,    ///< wait until a dispatcher frees space (backpressure)
-    kReject,   ///< throw kQueueFull immediately (load shedding)
-    kDegrade,  ///< shed the oldest queued request to admit the newest, and
-               ///< shrink the batch window while over the high-water mark
+    kBlock,    ///< samples enter as dispatchers free space (backpressure)
+    kReject,   ///< a frame that does not fit the free space throws
+               ///< kQueueFull as a whole, nothing queued (load shedding)
+    kDegrade,  ///< shed the oldest queued requests to admit the newest, and
+               ///< shrink the batch window while over the high-water mark;
+               ///< a frame that would shed its own samples throws kQueueFull
   };
   Admission admission = Admission::kBlock;
 
@@ -213,15 +227,24 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Serves one sample — HWC uint8 codes {H, W, C} (or {1, H, W, C}) —
-  /// blocking until its micro-batch has run. For dynamic-shape models the
-  /// sample's H (token count) may be any length in [1, largest bucket];
-  /// it batches with same-bucket requests only. Returns the logits
-  /// {classes}.
-  /// Thread-safe; any number of callers may be in flight. Throws ServerError
-  /// on every failure path (see ErrorKind); the optional deadline bounds
-  /// admission, backpressure waiting, and queue residency — a request that
-  /// reaches a batch slot before its deadline completes normally.
+  /// Serves a frame of N samples — HWC uint8 codes {N, H, W, C} (or one
+  /// sample {H, W, C}) — blocking until every sample has run, and writes
+  /// the logits {N, classes} into *logits (reshaped in place, so a caller
+  /// reusing one tensor per connection allocates nothing per frame). For
+  /// dynamic-shape models H (the token count) may be any length in
+  /// [1, largest bucket]; the samples batch with same-bucket requests only.
+  /// Thread-safe; any number of callers may be in flight. Every sample is
+  /// validated before any is queued. Throws ServerError on every failure
+  /// path (see ErrorKind) — the first failure in sample order, after the
+  /// frame's other samples have finished or been withdrawn. The optional
+  /// deadline bounds admission, backpressure waiting, and queue residency —
+  /// a sample that reaches a batch slot before its deadline completes
+  /// normally.
+  void infer_frame(const Tensor<std::int32_t>& frame_u8,
+                   Tensor<std::int32_t>* logits,
+                   Deadline deadline = kNoDeadline);
+  /// The N = 1 frame: one sample {H, W, C} (or {1, H, W, C}); returns the
+  /// logits {classes}.
   Tensor<std::int32_t> infer(const Tensor<std::int32_t>& sample_u8,
                              Deadline deadline = kNoDeadline);
   /// Deadline convenience: now() + budget.
@@ -232,12 +255,15 @@ class InferenceServer {
     std::int64_t requests = 0;   ///< samples served successfully
     std::int64_t batches = 0;    ///< session runs dispatched (all replicas)
     std::int64_t max_batch = 0;  ///< largest micro-batch formed
-    std::int64_t rejected = 0;   ///< admissions refused (kReject only)
+    std::int64_t rejected = 0;   ///< frames refused (kReject only)
 
     std::int64_t queue_depth = 0;       ///< queued right now
     std::int64_t peak_queue_depth = 0;  ///< high-water of queue_depth
 
-    /// Failed requests by ErrorKind (shed requests count under kQueueFull).
+    /// Failures by ErrorKind: one per sample failed in the queue or a
+    /// replica (shed requests count under kQueueFull), one per frame failed
+    /// by its caller's admission (validation, kReject, shutdown, ...).
+    /// Samples withdrawn because a sibling failed are not counted.
     std::array<std::int64_t, kErrorKindCount> error_counts{};
     std::int64_t errors(ErrorKind k) const {
       return error_counts[static_cast<std::size_t>(k)];
@@ -289,14 +315,19 @@ class InferenceServer {
                                   unsigned hw_threads);
 
  private:
-  /// One in-flight request. Shared between the admitting client, the queue,
-  /// the dispatching replica and the monitor: any of them may complete it
-  /// (under mu_, exactly once — `done` guards), and shared ownership means
-  /// a request failed early (deadline, stuck replica) cannot dangle under a
-  /// dispatcher that still holds it.
+  /// One in-flight request: one sample of a frame. A frame's requests live
+  /// in one shared array; the queue, the dispatching replica and the
+  /// monitor hold aliasing pointers into it. Any of them may complete a
+  /// request (under mu_, exactly once — `done` guards), and shared
+  /// ownership means a request failed early (deadline, stuck replica)
+  /// cannot dangle under a dispatcher that still holds it.
   struct Request {
-    const Tensor<std::int32_t>* sample = nullptr;  ///< valid while queued
-    Tensor<std::int32_t> logits;
+    /// The sample's codes inside the caller's frame, and its logits row in
+    /// the caller's output. Caller-owned: touched only under mu_ while the
+    /// request is not done, and the caller returns only once every request
+    /// of its frame is done.
+    const std::int32_t* codes = nullptr;
+    std::int32_t* logits = nullptr;
     /// Failure outcome as plain data, not an exception_ptr: the ServerError
     /// is constructed in the *caller's* thread at rethrow time. A shared
     /// exception object's lifetime would otherwise end on whichever thread
@@ -346,6 +377,16 @@ class InferenceServer {
   /// a restarted replica always lands back on its own pool.
   SessionOptions session_options_for(std::size_t replica_index) const;
 
+  /// The one admission path behind infer() and infer_frame().
+  void serve(const Tensor<std::int32_t>& frame_u8, bool one_sample,
+             Tensor<std::int32_t>* logits, Deadline deadline);
+  /// Waits until reqs[0, admitted) are all done. Once one of them has
+  /// failed, or at once when `failing` (the caller failed the frame
+  /// itself), the still-queued ones are withdrawn so nothing of the frame
+  /// stays behind.
+  void settle_frame_locked(std::unique_lock<std::mutex>& lock, Request* reqs,
+                           std::int64_t admitted, bool failing);
+
   void dispatch_loop(std::size_t replica_index);
   bool dispatch_cycle(std::size_t replica_index,
                       std::vector<RequestPtr>& batch);
@@ -364,6 +405,7 @@ class InferenceServer {
   const ApnnNetwork& net_;  ///< for replica recompiles on restart
   const tcsim::DeviceSpec dev_;
   const ActShape input_shape_;
+  const std::int64_t classes_;  ///< logits per sample
   /// Ascending sequence buckets (empty = shape-static model). Mirrors the
   /// session's plan family so admission can resolve a request's bucket
   /// without touching a replica.

@@ -1025,54 +1025,37 @@ InferenceSession::InferenceSession(const ApnnNetwork& net,
   slab_.require(max_slots);
 }
 
-void InferenceSession::validate_sample(const ActShape& shape,
-                                       const Tensor<std::int32_t>& sample) {
-  const bool batched_rank = sample.rank() == 4;
-  APNN_CHECK((sample.rank() == 3 || batched_rank) &&
-             (!batched_rank || sample.dim(0) == 1))
-      << "sample must be one image: {H, W, C} or {1, H, W, C}";
-  const int off = batched_rank ? 1 : 0;
-  APNN_CHECK(sample.dim(off) == shape.h && sample.dim(off + 1) == shape.w &&
-             sample.dim(off + 2) == shape.c)
-      << "sample must be {" << shape.h << ", " << shape.w << ", " << shape.c
-      << "}, got {" << sample.dim(off) << ", " << sample.dim(off + 1) << ", "
-      << sample.dim(off + 2) << "}";
-  const std::int32_t* s = sample.data();
-  for (std::int64_t i = 0; i < sample.numel(); ++i) {
-    APNN_CHECK(s[i] >= 0 && s[i] <= 255)
-        << "sample value " << s[i] << " at index " << i
-        << " is not an 8-bit input code";
-  }
-}
-
-void InferenceSession::validate_sample(
+std::int64_t InferenceSession::validate_frame(
     const ActShape& shape, const std::vector<std::int64_t>& seq_buckets,
-    const Tensor<std::int32_t>& sample) {
-  if (seq_buckets.empty()) {
-    validate_sample(shape, sample);
-    return;
-  }
-  const bool batched_rank = sample.rank() == 4;
-  APNN_CHECK((sample.rank() == 3 || batched_rank) &&
-             (!batched_rank || sample.dim(0) == 1))
-      << "sample must be one sequence: {S, W, C} or {1, S, W, C}";
+    const Tensor<std::int32_t>& frame) {
+  const bool batched_rank = frame.rank() == 4;
+  APNN_CHECK((frame.rank() == 3 || batched_rank) &&
+             (!batched_rank || frame.dim(0) >= 1))
+      << "frame must be {H, W, C} or {N, H, W, C} with N >= 1";
   const int off = batched_rank ? 1 : 0;
-  const std::int64_t s_len = sample.dim(off);
-  const std::int64_t max_bucket = seq_buckets.back();
-  APNN_CHECK(s_len >= 1 && s_len <= max_bucket)
-      << "sequence length " << s_len << " outside the bucket range [1, "
-      << max_bucket << "]";
-  APNN_CHECK(sample.dim(off + 1) == shape.w &&
-             sample.dim(off + 2) == shape.c)
-      << "sample must be {seq, " << shape.w << ", " << shape.c << "}, got {"
-      << s_len << ", " << sample.dim(off + 1) << ", " << sample.dim(off + 2)
-      << "}";
-  const std::int32_t* s = sample.data();
-  for (std::int64_t i = 0; i < sample.numel(); ++i) {
+  const std::int64_t h = frame.dim(off);
+  if (seq_buckets.empty()) {
+    APNN_CHECK(h == shape.h && frame.dim(off + 1) == shape.w &&
+               frame.dim(off + 2) == shape.c)
+        << "sample must be {" << shape.h << ", " << shape.w << ", "
+        << shape.c << "}, got {" << h << ", " << frame.dim(off + 1) << ", "
+        << frame.dim(off + 2) << "}";
+  } else {
+    APNN_CHECK(h >= 1 && h <= seq_buckets.back())
+        << "sequence length " << h << " outside the bucket range [1, "
+        << seq_buckets.back() << "]";
+    APNN_CHECK(frame.dim(off + 1) == shape.w && frame.dim(off + 2) == shape.c)
+        << "sample must be {seq, " << shape.w << ", " << shape.c << "}, got {"
+        << h << ", " << frame.dim(off + 1) << ", " << frame.dim(off + 2)
+        << "}";
+  }
+  const std::int32_t* s = frame.data();
+  for (std::int64_t i = 0; i < frame.numel(); ++i) {
     APNN_CHECK(s[i] >= 0 && s[i] <= 255)
         << "sample value " << s[i] << " at index " << i
         << " is not an 8-bit input code";
   }
+  return batched_rank ? frame.dim(0) : 1;
 }
 
 namespace {

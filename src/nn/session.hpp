@@ -80,23 +80,19 @@ class InferenceSession {
 
   const ApnnNetwork& network() const { return net_; }
 
-  /// Per-sample admission check for serving front-ends: `sample` must be
-  /// {H, W, C} or {1, H, W, C} matching `shape`, with every value a valid
-  /// 8-bit input code in [0, 255]. Throws apnn::Error naming the offending
-  /// dimension or value. Validating at admission keeps one bad sample from
-  /// poisoning the micro-batch it would have joined: the error surfaces in
-  /// the offending caller's infer(), never inside a shared batched run.
-  static void validate_sample(const ActShape& shape,
-                              const Tensor<std::int32_t>& sample);
-
-  /// Bucketed-sequence variant: with `seq_buckets` non-empty (sorted
-  /// ascending, as ModelSpec carries them) the sample's leading dimension is
-  /// a token count and may be any value in [1, seq_buckets.back()]; the
-  /// trailing dims must still match {shape.w, shape.c}. With empty buckets
-  /// this forwards to the fixed-shape overload.
-  static void validate_sample(const ActShape& shape,
-                              const std::vector<std::int64_t>& seq_buckets,
-                              const Tensor<std::int32_t>& sample);
+  /// Admission check for serving front-ends: `frame` is one sample
+  /// {H, W, C} or a frame of N >= 1 samples {N, H, W, C}, matching `shape`,
+  /// with every value a valid 8-bit input code in [0, 255]. With
+  /// `seq_buckets` non-empty (sorted ascending, as ModelSpec carries them)
+  /// H is a token count and may be any value in [1, seq_buckets.back()];
+  /// W and C must still match. Returns the sample count. Throws apnn::Error
+  /// naming the offending dimension or value. Validating at admission keeps
+  /// one bad sample from poisoning the micro-batch it would have joined: the
+  /// error surfaces in the offending caller's infer(), never inside a
+  /// shared batched run.
+  static std::int64_t validate_frame(
+      const ActShape& shape, const std::vector<std::int64_t>& seq_buckets,
+      const Tensor<std::int32_t>& frame);
 
   /// Opaque compiled plan (defined in session.cpp).
   struct Plan;

@@ -4,7 +4,8 @@
 //     server.admission;
 //   * an injected replica crash fails exactly the requests that replica
 //     held (typed kReplicaFailed), the monitor restarts the replica, and
-//     every non-injected request before/after is served bit-exact;
+//     every non-injected request before/after is served bit-exact; a frame
+//     that loses a batch fails whole and withdraws its queued rest;
 //   * repeated crashes quarantine the replica; with no replicas left the
 //     server fails fast instead of stranding clients;
 //   * a stuck dispatch cycle unblocks its waiting clients long before the
@@ -133,6 +134,39 @@ TEST_F(ChaosTest, ReplicaCrashFailsItsBatchRestartsAndStaysBitExact) {
   const auto st = server.stats();
   EXPECT_EQ(st.errors(ErrorKind::kReplicaFailed), 1);
   EXPECT_EQ(st.requests, static_cast<std::int64_t>(f.samples.size()));
+}
+
+TEST_F(ChaosTest, ReplicaCrashMidFrameFailsTheFrameAndWithdrawsTheRest) {
+  Fixture f(0);
+  ServerOptions opts;
+  opts.replicas = 1;
+  opts.max_batch = 4;
+  InferenceServer server(f.net, dev(), opts);
+
+  // The first batch (samples 0-3) dies with its replica; samples 4-7 are
+  // still queued and are withdrawn, so nothing of the frame outlives it.
+  faultinject::arm(faultinject::kReplicaDispatch, 1);
+  const Tensor<std::int32_t> frame = random_input(8, f.m, 520);
+  Tensor<std::int32_t> logits;
+  try {
+    server.infer_frame(frame, &logits);
+    ADD_FAILURE() << "infer_frame() unexpectedly succeeded";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kReplicaFailed);
+  }
+  auto st = server.stats();
+  EXPECT_EQ(st.queue_depth, 0);
+  EXPECT_EQ(st.errors(ErrorKind::kReplicaFailed), 4);
+  // The restarted replica may have served the tail before the withdrawal.
+  EXPECT_TRUE(st.requests == 0 || st.requests == 4) << st.requests;
+
+  ASSERT_TRUE(eventually([&] {
+    return server.stats().replica_restarts >= 1;
+  }));
+  server.infer_frame(frame, &logits);
+  InferenceSession session(f.net, dev());
+  const Tensor<std::int32_t> want = session.run(frame);
+  expect_same_logits(logits, want, 0);
 }
 
 TEST_F(ChaosTest, SessionRunFaultEscalatesToReplicaFailureAndHeals) {

@@ -12,6 +12,8 @@
 //   * registry: multi-model routing is bit-exact against direct session
 //     runs, unknown ids throw kUnknownModel, reload bumps the generation
 //     and drops zero requests on the model that was not reloaded;
+//   * one INFER frame is one registry call: its samples batch with each
+//     other on a 2-replica model and count as one latency observation;
 //   * gateway over loopback TCP: binary INFER/LIST/PING round trips,
 //     typed errors for unknown models and invalid samples, the JSON line
 //     protocol (including malformed lines keeping the connection), the
@@ -21,6 +23,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -310,7 +313,10 @@ TEST(GatewayConfig, ParsesSectionsAndKeys) {
   EXPECT_EQ(cfg.models[0].admission, "degrade");
   EXPECT_EQ(cfg.models[0].batch_window_us, 250);
   EXPECT_EQ(cfg.models[1].id, "vgg");
-  EXPECT_EQ(cfg.models[1].max_batch, 8);  // default
+  // Unset keys inherit the server defaults.
+  EXPECT_EQ(cfg.models[1].max_batch, ServerOptions{}.max_batch);
+  EXPECT_EQ(cfg.models[1].batch_window_us,
+            ServerOptions{}.batch_window.count());
 }
 
 TEST(GatewayConfig, RejectsTyposAndDuplicates) {
@@ -522,14 +528,16 @@ TEST_F(GatewayEndToEnd, JsonLineProtocol) {
                     "\"c\":3,\"sample\":[";
   const Tensor<std::int32_t>& s = vgg_.samples[0];
   for (std::int64_t i = 0; i < s.numel(); ++i) {
-    req += (i == 0 ? "" : ",") + std::to_string(s[i]);
+    if (i > 0) req += ',';
+    req += std::to_string(s[i]);
   }
   req += "]}\n";
   const std::string reply = ask(req);
   std::string want = "\"logits\":[";
   const Tensor<std::int32_t>& g = vgg_.golden[0];
   for (std::int64_t i = 0; i < g.numel(); ++i) {
-    want += (i == 0 ? "" : ",") + std::to_string(g[i]);
+    if (i > 0) want += ',';
+    want += std::to_string(g[i]);
   }
   want += "]";
   EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
@@ -647,6 +655,58 @@ TEST_F(GatewayEndToEnd, ShutdownWithConnectionsOpen) {
   EXPECT_THROW(net::connect_loopback(gateway_->port()), Error);
 }
 
+// One INFER frame is one registry call: its samples are admitted together,
+// batch with each other across replicas, and count as one gateway latency
+// observation.
+TEST(GatewayFrames, FrameBatchesWithItselfAndRecordsOneLatency) {
+  ServedModel m = make_served("frames", mini_resnet(4, 8, 10), 55, 8);
+  {
+    gw::ModelRegistry registry(dev(), 1);
+    gw::ModelConfig cfg = config_for(m);
+    cfg.replicas = 2;
+    cfg.slice_threads = 1;
+    registry.load(cfg);
+    gw::Gateway gateway(registry);
+    auto metric = [&](const std::string& series) {
+      const std::string text = gateway.prometheus_text();
+      const std::string key = "\n" + series + " ";
+      const std::size_t at = text.find(key);
+      EXPECT_NE(at, std::string::npos) << series;
+      return at == std::string::npos
+                 ? -1.0
+                 : std::strtod(text.c_str() + at + key.size(), nullptr);
+    };
+    const std::string count = "apnn_model_latency_ms_count{model=\"frames\"}";
+
+    wire::Client client(gateway.port());
+    expect_bit_exact(client.infer("frames", m.samples[0]), m.golden[0]);
+    EXPECT_EQ(metric(count), 1.0);
+    EXPECT_EQ(metric("apnn_model_max_batch{model=\"frames\"}"), 1.0);
+
+    wire::InferRequest req;
+    req.model = "frames";
+    req.count = static_cast<std::uint16_t>(m.samples.size());
+    req.h = static_cast<std::uint16_t>(m.spec.input.h);
+    req.w = static_cast<std::uint16_t>(m.spec.input.w);
+    req.c = static_cast<std::uint16_t>(m.spec.input.c);
+    for (const auto& s : m.samples) {
+      const auto bytes = wire::pack_sample_u8(s);
+      req.samples.insert(req.samples.end(), bytes.begin(), bytes.end());
+    }
+    const wire::InferResponse resp = client.infer_batch(req);
+    ASSERT_EQ(resp.count, req.count);
+    for (std::size_t i = 0; i < m.samples.size(); ++i) {
+      for (std::uint32_t j = 0; j < resp.classes; ++j) {
+        EXPECT_EQ(resp.logits[i * resp.classes + j], m.golden[i][j])
+            << "sample " << i << " logit " << j;
+      }
+    }
+    EXPECT_EQ(metric(count), 2.0);
+    EXPECT_GE(metric("apnn_model_max_batch{model=\"frames\"}"), 2.0);
+    EXPECT_EQ(metric("apnn_model_requests_total{model=\"frames\"}"), 9.0);
+  }
+  std::remove(m.path.c_str());
+}
 
 // --- protocol v2: variable-length sequences over the wire --------------------
 

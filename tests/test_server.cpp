@@ -6,6 +6,10 @@
 //     own infer() call and never poisons the micro-batch it would have
 //     joined — co-batched healthy requests still succeed and the
 //     dispatchers stay alive;
+//   * frame admission: an N-sample infer_frame() is bit-exact per sample
+//     and in order against batch-1 runs; it is validated whole before
+//     anything queues, fails whole under kReject/kDegrade when it cannot
+//     fit, and leaves nothing queued when it fails mid-frame;
 //   * admission control: the bounded queue rejects (kReject) or
 //     backpressures (kBlock) when full, and the stats account for it;
 //   * shutdown: queued requests are drained, late callers get the
@@ -17,6 +21,7 @@
 //     against the race detector).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -249,6 +254,181 @@ TEST(Server, PoisonSampleDoesNotPoisonItsBatch) {
   const auto again = server.infer(samples[0]);
   expect_same_logits(again, expected[0], 0);
   EXPECT_EQ(server.stats().requests, kHealthy + 1);  // poison never admitted
+}
+
+// --- frame admission --------------------------------------------------------
+
+// Goldens for every sample of `frame`, each from its own batch-1 run.
+std::vector<Tensor<std::int32_t>> per_sample_goldens(
+    const ApnnNetwork& net, const Tensor<std::int32_t>& frame) {
+  InferenceSession session(net, dev());
+  const std::int64_t n = frame.dim(0);
+  const std::int64_t elems = frame.numel() / n;
+  std::vector<Tensor<std::int32_t>> out;
+  for (std::int64_t i = 0; i < n; ++i) {
+    Tensor<std::int32_t> one({1, frame.dim(1), frame.dim(2), frame.dim(3)});
+    std::copy(frame.data() + i * elems, frame.data() + (i + 1) * elems,
+              one.data());
+    out.push_back(session.run(one));
+  }
+  return out;
+}
+
+ErrorKind frame_error_kind(InferenceServer& server,
+                           const Tensor<std::int32_t>& frame,
+                           InferenceServer::Deadline deadline =
+                               InferenceServer::kNoDeadline) {
+  Tensor<std::int32_t> logits;
+  try {
+    server.infer_frame(frame, &logits, deadline);
+  } catch (const ServerError& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "infer_frame() unexpectedly succeeded";
+  return ErrorKind::kReplicaFailed;
+}
+
+TEST(ServerFrame, SamplesMatchBatchOneRunsInOrder) {
+  const ModelSpec m = mini_resnet(3, 8, 5);
+  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 800);
+  net.calibrate(random_input(2, m, 801));
+
+  ServerOptions opts;
+  opts.max_batch = 4;
+  opts.replicas = 2;  // derived max_queue 32: the 64-sample frame blocks
+  InferenceServer server(net, dev(), opts);
+  std::int64_t served = 0;
+  Tensor<std::int32_t> logits;  // reused across frames, like a connection
+  for (const std::int64_t n : {1, 3, 8, 64}) {
+    const Tensor<std::int32_t> frame =
+        random_input(n, m, 802 + static_cast<std::uint64_t>(n));
+    const auto golden = per_sample_goldens(net, frame);
+    server.infer_frame(frame, &logits);
+    ASSERT_EQ(logits.rank(), 2);
+    ASSERT_EQ(logits.dim(0), n);
+    ASSERT_EQ(logits.dim(1), 5);
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t j = 0; j < 5; ++j) {
+        EXPECT_EQ(logits[i * 5 + j], golden[static_cast<std::size_t>(i)][j])
+            << "frame of " << n << ", sample " << i << ", logit " << j;
+      }
+    }
+    served += n;
+  }
+  const auto st = server.stats();
+  EXPECT_EQ(st.requests, served);
+  EXPECT_LE(st.max_batch, 4);
+  EXPECT_GE(st.max_batch, 2);  // a frame batches with itself
+  EXPECT_EQ(st.queue_depth, 0);
+}
+
+TEST(ServerFrame, OneInvalidSampleFailsTheFrameBeforeAnythingQueues) {
+  const ModelSpec m = mini_cnn(4, 8, 5);
+  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 810);
+  net.calibrate(random_input(1, m, 811));
+  ServerOptions opts;
+  opts.max_batch = 4;
+  InferenceServer server(net, dev(), opts);
+
+  Tensor<std::int32_t> frame = random_input(4, m, 812);
+  frame[2 * 8 * 8 * 4 + 5] = 256;  // sample 2 holds a non-8-bit code
+  EXPECT_EQ(frame_error_kind(server, frame), ErrorKind::kInvalidSample);
+  auto st = server.stats();
+  EXPECT_EQ(st.requests, 0);
+  EXPECT_EQ(st.batches, 0);
+  EXPECT_EQ(st.errors(ErrorKind::kInvalidSample), 1);
+
+  // A frame of N samples is not a single sample.
+  EXPECT_THROW(server.infer(random_input(2, m, 813)), ServerError);
+  frame[2 * 8 * 8 * 4 + 5] = 255;
+  Tensor<std::int32_t> logits;
+  server.infer_frame(frame, &logits);
+  EXPECT_EQ(server.stats().requests, 4);
+}
+
+TEST(ServerFrame, RejectFailsAFrameThatDoesNotFitAsAWhole) {
+  const ModelSpec m = mini_cnn(4, 8, 5);
+  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 820);
+  net.calibrate(random_input(1, m, 821));
+  ServerOptions opts;
+  opts.replicas = 1;
+  opts.max_batch = 4;
+  opts.max_queue = 4;
+  opts.admission = ServerOptions::Admission::kReject;
+  InferenceServer server(net, dev(), opts);
+
+  EXPECT_EQ(frame_error_kind(server, random_input(5, m, 822)),
+            ErrorKind::kQueueFull);
+  auto st = server.stats();
+  EXPECT_EQ(st.rejected, 1);  // one frame, one rejection
+  EXPECT_EQ(st.errors(ErrorKind::kQueueFull), 1);
+  EXPECT_EQ(st.requests, 0);
+  EXPECT_EQ(st.batches, 0);
+  EXPECT_EQ(st.peak_queue_depth, 0);  // nothing was queued
+
+  // A frame that fits is served whole.
+  const Tensor<std::int32_t> fits = random_input(4, m, 823);
+  const auto golden = per_sample_goldens(net, fits);
+  Tensor<std::int32_t> logits;
+  server.infer_frame(fits, &logits);
+  for (std::int64_t i = 0; i < 4; ++i) {
+    for (std::int64_t j = 0; j < 5; ++j) {
+      EXPECT_EQ(logits[i * 5 + j], golden[static_cast<std::size_t>(i)][j]);
+    }
+  }
+}
+
+TEST(ServerFrame, DegradeNeverShedsAFramesOwnSamples) {
+  const ModelSpec m = mini_cnn(4, 8, 5);
+  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 830);
+  net.calibrate(random_input(1, m, 831));
+  ServerOptions opts;
+  opts.replicas = 1;
+  opts.max_batch = 4;
+  opts.max_queue = 4;
+  opts.admission = ServerOptions::Admission::kDegrade;
+  InferenceServer server(net, dev(), opts);
+
+  // Five samples cannot fit a four-slot queue without shedding their own.
+  EXPECT_EQ(frame_error_kind(server, random_input(5, m, 832)),
+            ErrorKind::kQueueFull);
+  auto st = server.stats();
+  EXPECT_EQ(st.shed, 0);
+  EXPECT_EQ(st.requests, 0);
+  EXPECT_EQ(st.peak_queue_depth, 0);
+
+  Tensor<std::int32_t> logits;
+  server.infer_frame(random_input(4, m, 833), &logits);
+  EXPECT_EQ(server.stats().requests, 4);
+}
+
+TEST(ServerFrame, DeadlineExpiringMidFrameFailsItAndLeavesNothingQueued) {
+  const ModelSpec m = mini_cnn(4, 8, 5);
+  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 840);
+  net.calibrate(random_input(1, m, 841));
+  ServerOptions opts;
+  opts.replicas = 1;
+  opts.max_batch = 4;
+  InferenceServer server(net, dev(), opts);
+
+  // The first batch (samples 0-3) stalls past the frame's deadline, so
+  // samples 4-7 expire in the queue: the frame fails with the deadline,
+  // after its first batch has completed.
+  faultinject::arm(faultinject::kSessionRun, 1, 1,
+                   std::chrono::milliseconds(300));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  EXPECT_EQ(frame_error_kind(server, random_input(8, m, 842), deadline),
+            ErrorKind::kDeadlineExceeded);
+  faultinject::disarm_all();
+  const auto st = server.stats();
+  EXPECT_EQ(st.queue_depth, 0);
+  EXPECT_EQ(st.requests, 4);
+  EXPECT_EQ(st.errors(ErrorKind::kDeadlineExceeded), 4);
+
+  Tensor<std::int32_t> logits;
+  server.infer_frame(random_input(8, m, 843), &logits);
+  EXPECT_EQ(server.stats().requests, 12);
 }
 
 // --- admission control ------------------------------------------------------
