@@ -18,6 +18,16 @@ ThreadPool& geometry_pool(const BatchedGeometry& g) {
   return g.pool != nullptr ? *g.pool : ThreadPool::global();
 }
 
+/// The calling thread's buffer, grown to at least `n` elements. It keeps its
+/// high-water size, so a recurring shape allocates only on its first call.
+/// (Not the block ScratchArena: every block resets that.)
+std::uint32_t* grown(std::vector<std::uint32_t>& buf, std::int64_t n) {
+  if (buf.size() < static_cast<std::size_t>(n)) {
+    buf.resize(static_cast<std::size_t>(n));
+  }
+  return buf.data();
+}
+
 }  // namespace
 
 BatchedGeometry make_geometry(const ApOperand& w, const ApOperand& x,
@@ -213,29 +223,30 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
   // the sum of the in-frame channel-slab popcounts (§4.2b pads 0 here, so
   // padding taps contribute nothing). Stored as uint32 for the modulo-2^32
   // row combine (a popcount never exceeds k).
-  std::vector<std::uint32_t> xpopc;
+  static thread_local std::vector<std::uint32_t> xpopc_buf, slab_popc_buf;
+  std::uint32_t* xpopc = nullptr;
   if (sel.kind == EmulationCase::kCaseIII) {
-    xpopc.resize(static_cast<std::size_t>(g.n * g.q));
+    xpopc = grown(xpopc_buf, g.n * g.q);
     if (x.window_gather()) {
       // Two stages: popc of each spatial position's C-bit slab once per
       // plane, then per column a pure-integer sum over its in-frame taps.
       const layout::ConvGeometry& cg = *x.conv;
       const std::int64_t spatial = cg.batch * cg.in_h * cg.in_w;
-      std::vector<std::uint32_t> slab_popc(
-          static_cast<std::size_t>(spatial * g.q));
+      std::uint32_t* slab_popc = grown(slab_popc_buf, spatial * g.q);
       geometry_pool(g).parallel_for(0, spatial, [&](std::int64_t r) {
         for (int t = 0; t < g.q; ++t) {
-          if ((elide_x >> t) & 1) continue;  // plane is zero: popc stays 0
-          slab_popc[static_cast<std::size_t>(r * g.q + t)] =
-              static_cast<std::uint32_t>(
-                  x.fmap->planes[static_cast<std::size_t>(t)]
-                      .row_popcount(r));
+          slab_popc[r * g.q + t] =
+              ((elide_x >> t) & 1)  // plane is zero: so is its popc
+                  ? 0
+                  : static_cast<std::uint32_t>(
+                        x.fmap->planes[static_cast<std::size_t>(t)]
+                            .row_popcount(r));
         }
       }, /*grain=*/256);
       geometry_pool(g).parallel_for(0, g.n, [&](std::int64_t j) {
         const layout::OutPos pos =
             layout::conv_col_position(cg, j, x.pool_win);
-        std::uint32_t* out = xpopc.data() + j * g.q;
+        std::uint32_t* out = xpopc + j * g.q;
         for (int t = 0; t < g.q; ++t) out[t] = 0;
         for (int kh = 0; kh < cg.kernel; ++kh) {
           const std::int64_t ih = pos.oy * cg.stride + kh - cg.pad;
@@ -244,8 +255,7 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
             const std::int64_t iw = pos.ox * cg.stride + kw - cg.pad;
             if (iw < 0 || iw >= cg.in_w) continue;
             const std::uint32_t* sp =
-                slab_popc.data() +
-                ((pos.n * cg.in_h + ih) * cg.in_w + iw) * g.q;
+                slab_popc + ((pos.n * cg.in_h + ih) * cg.in_w + iw) * g.q;
             for (int t = 0; t < g.q; ++t) out[t] += sp[t];
           }
         }
@@ -253,23 +263,22 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
     } else {
       geometry_pool(g).parallel_for(0, g.n, [&](std::int64_t j) {
         for (int t = 0; t < g.q; ++t) {
-          if ((elide_x >> t) & 1) continue;  // resize() zero-filled the slot
-          xpopc[static_cast<std::size_t>(j * g.q + t)] =
-              static_cast<std::uint32_t>(x.planes->plane(t).row_popcount(j));
+          xpopc[j * g.q + t] =
+              ((elide_x >> t) & 1)  // plane is zero: so is its popc
+                  ? 0
+                  : static_cast<std::uint32_t>(
+                        x.planes->plane(t).row_popcount(j));
         }
       }, /*grain=*/256);
     }
   }
 
-  // Plane combination multipliers.
-  std::vector<std::int64_t> wmult(static_cast<std::size_t>(g.p));
-  std::vector<std::int64_t> xmult(static_cast<std::size_t>(g.q));
-  for (int s = 0; s < g.p; ++s) {
-    wmult[static_cast<std::size_t>(s)] = plane_multiplier(w.encoding, s, g.p);
-  }
-  for (int t = 0; t < g.q; ++t) {
-    xmult[static_cast<std::size_t>(t)] = plane_multiplier(x.encoding, t, g.q);
-  }
+  // Plane combination multipliers. 16 is the plane-count ceiling enforced
+  // by bitops::decompose / layout::pack_activations.
+  APNN_DCHECK(g.p <= 16 && g.q <= 16) << "p=" << g.p << " q=" << g.q;
+  std::int64_t wmult[16], xmult[16];
+  for (int s = 0; s < g.p; ++s) wmult[s] = plane_multiplier(w.encoding, s, g.p);
+  for (int t = 0; t < g.q; ++t) xmult[t] = plane_multiplier(x.encoding, t, g.q);
 
   const int qbits = epi.has_quant ? epi.quant.bits : 0;
 
@@ -287,18 +296,13 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
                                std::uint32_t* out) {
     std::fill_n(out, cols, 0u);
     if (all_x_elided) return;
-    // 16 is the plane-count ceiling enforced by bitops::decompose /
-    // layout::pack_activations.
-    APNN_DCHECK(g.q <= 16) << "q=" << g.q;
     for (int s = 0; s < g.p; ++s) {
       if ((elide_w >> s) & 1) continue;  // whole-plane term is zero
       const auto* pr =
           reinterpret_cast<const std::uint32_t*>(rows + s * g.vtn8);
-      const std::int64_t ws = wmult[static_cast<std::size_t>(s)];
       std::uint32_t mult[16];
       for (int t = 0; t < g.q; ++t) {
-        mult[t] = static_cast<std::uint32_t>(
-            ws * xmult[static_cast<std::size_t>(t)]);
+        mult[t] = static_cast<std::uint32_t>(wmult[s] * xmult[t]);
       }
       switch (sel.kind) {
         case EmulationCase::kCaseI:
@@ -442,9 +446,7 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
     const std::int64_t cols = n_end - n0;
     const std::int64_t nwin = cols / wsz;
     const bool pre_active = epi.has_bn || epi.has_relu;
-    const std::uint32_t* xp = sel.kind == EmulationCase::kCaseIII
-                                  ? xpopc.data() + n0 * g.q
-                                  : nullptr;
+    const std::uint32_t* xp = xpopc != nullptr ? xpopc + n0 * g.q : nullptr;
 
     // Per-column index of the Case-II correction entry, hoisted out of the
     // m loop (the mapping depends only on the column).

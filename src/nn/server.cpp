@@ -95,29 +95,13 @@ InferenceServer::InferenceServer(const ApnnNetwork& net,
   // that slice. The dispatchers and monitor start only once the replica
   // vector is final.
   replicas_.resize(static_cast<std::size_t>(opts_.replicas));
-  const int slice = opts_.slice_threads;
+  // Replica pools join one stealing group: an idle slice helps a busy
+  // sibling's loop, while a dispatcher's own wait stays bounded by its
+  // batch's chunks (§10).
+  WorkStealGroup* group = replicas_.size() > 1 ? &steal_group_ : nullptr;
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    ThreadPoolOptions po;
-    po.num_threads = static_cast<unsigned>(slice);
-    // A dispatcher's nested wait must stay bounded by its own batch — no
-    // absorbing a sibling's chunks while a deadline clock runs (§10).
-    po.help_foreign = false;
-    po.pin_threads = opts_.pin_threads;
-    if (opts_.pin_threads) {
-      // Contiguous CPU ranges: replica r owns [r*slice, (r+1)*slice), slot
-      // 0 being the dispatcher itself (pinned in dispatch_loop). Modulo hw
-      // keeps explicit oversubscribed topologies legal.
-      po.cpus.resize(static_cast<std::size_t>(slice));
-      for (int t = 0; t < slice; ++t) {
-        po.cpus[static_cast<std::size_t>(t)] = static_cast<int>(
-            (r * static_cast<std::size_t>(slice) + static_cast<std::size_t>(t)) %
-            hw);
-      }
-    }
-    if (opts_.work_stealing && replicas_.size() > 1) {
-      po.steal_group = &steal_group_;
-    }
-    replicas_[r].pool = std::make_unique<ThreadPool>(po);
+    replicas_[r].pool = std::make_unique<ThreadPool>(
+        static_cast<unsigned>(opts_.slice_threads), group);
     replicas_[r].session =
         std::make_unique<InferenceSession>(net, dev, session_options_for(r));
   }
@@ -451,13 +435,6 @@ SessionOptions InferenceServer::session_options_for(
 }
 
 void InferenceServer::dispatch_loop(std::size_t replica_index) {
-  if (opts_.pin_threads) {
-    // The dispatcher is its pool's participating caller — pin it to slot 0
-    // of the replica's CPU range (the pool's workers took slots 1..).
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    ThreadPool::pin_current_thread(static_cast<int>(
-        (replica_index * static_cast<std::size_t>(opts_.slice_threads)) % hw));
-  }
   // An exception escaping the cycle below — the session run, the injected
   // replica.dispatch fault, anything outside a per-request path — is a
   // replica failure. Requests the replica holds are its responsibility:

@@ -152,19 +152,6 @@ struct ServerOptions {
   /// pool and a busy server ran ~N× more runnable threads than cores.
   int slice_threads = 0;
 
-  /// Pin each replica's slice (dispatcher + pool workers) to a distinct
-  /// contiguous CPU range via pthread_setaffinity (Linux; elsewhere the
-  /// flag is accepted and ignored). Off by default: pinning helps when the
-  /// server owns the machine and hurts when it shares it.
-  bool pin_threads = false;
-
-  /// Let idle slice workers steal queued loop chunks from sibling replicas
-  /// (bounded work stealing, DESIGN.md §10). Keeps the hardware busy when
-  /// load is imbalanced — one replica running a big batch while others sit
-  /// idle — without re-introducing oversubscription: a stolen chunk runs on
-  /// a thread that would otherwise sleep.
-  bool work_stealing = true;
-
   /// Admission-queue bound (queued requests, not counting the batches
   /// already inside the replicas). 0 derives as replicas * max_batch * 4.
   std::int64_t max_queue = 0;

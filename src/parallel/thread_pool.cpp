@@ -1,15 +1,9 @@
 #include "src/parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <memory>
+#include <exception>
 
 #include "src/common/check.hpp"
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace apnn {
 
@@ -28,51 +22,48 @@ struct CurrentPoolScope {
   const ThreadPool* saved;
 };
 
-/// Everything a queued chunk task needs, owned jointly by the caller and
-/// every helper via shared_ptr — a helper dequeued (or stolen) after
-/// parallel_for returned touches only this block, never the caller's frame.
-struct LoopShared {
-  std::function<void(std::int64_t)> fn;
-  std::int64_t begin = 0;
-  std::int64_t end = 0;
-  std::int64_t grain = 1;
-  std::int64_t nchunks = 0;
-  std::atomic<std::int64_t> next{0};
-  std::atomic<std::int64_t> done{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex mu;  // guards error; completion waiters sleep on done_cv
-  std::condition_variable done_cv;
-};
+}  // namespace
 
-/// Drains the shared chunk counter. Safe to run on any thread at any time:
-/// once every chunk is claimed it returns without touching fn.
-void run_chunks(const std::shared_ptr<LoopShared>& s) {
-  for (;;) {
-    const std::int64_t c = s->next.fetch_add(1);
-    if (c >= s->nchunks) return;
-    const std::int64_t lo = s->begin + c * s->grain;
-    const std::int64_t hi = std::min<std::int64_t>(lo + s->grain, s->end);
-    if (!s->failed.load(std::memory_order_relaxed)) {
+/// One parallel_for call, living on the caller's stack. Ring entries point
+/// at it; the join latch (`joined` / `left`) keeps the frame alive until
+/// every helper that took an entry has finished with it.
+struct ThreadPool::Loop {
+  Loop(Body f, std::int64_t b, std::int64_t e, std::int64_t g,
+       std::int64_t n)
+      : fn(f), begin(b), end(e), grain(g), nchunks(n) {}
+
+  const Body fn;
+  const std::int64_t begin;
+  const std::int64_t end;
+  const std::int64_t grain;
+  const std::int64_t nchunks;
+  std::atomic<std::int64_t> next{0};
+  std::atomic<bool> failed{false};
+  /// Helpers admitted; written under the owning pool's mu_, and only while
+  /// the caller still has entries queued.
+  int joined = 0;
+  int left = 0;  ///< helpers finished; guarded by mu
+  std::exception_ptr error;  // guarded by mu
+  std::mutex mu;
+  std::condition_variable left_cv;
+
+  /// Drains the shared chunk counter; returns once every chunk is claimed.
+  void run_chunks() {
+    for (;;) {
+      const std::int64_t c = next.fetch_add(1);
+      if (c >= nchunks) return;
+      const std::int64_t lo = begin + c * grain;
+      const std::int64_t hi = std::min<std::int64_t>(lo + grain, end);
+      if (failed.load(std::memory_order_relaxed)) continue;
       try {
-        for (std::int64_t i = lo; i < hi; ++i) s->fn(i);
+        for (std::int64_t i = lo; i < hi; ++i) fn(i);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(s->mu);
-        if (!s->failed.exchange(true)) {
-          s->error = std::current_exception();
-        }
+        std::lock_guard<std::mutex> lock(mu);
+        if (!failed.exchange(true)) error = std::current_exception();
       }
     }
-    if (s->done.fetch_add(1, std::memory_order_acq_rel) + 1 == s->nchunks) {
-      // Empty critical section orders the notify after a waiter's predicate
-      // check, closing the missed-wakeup window.
-      { std::lock_guard<std::mutex> lock(s->mu); }
-      s->done_cv.notify_all();
-    }
   }
-}
-
-}  // namespace
+};
 
 int WorkStealGroup::pools() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -114,59 +105,33 @@ void WorkStealGroup::note_enqueued(std::int64_t n, ThreadPool* owner) {
 }
 
 bool WorkStealGroup::steal_and_run(ThreadPool* thief) {
-  ThreadPool::Task task;
-  bool have = false;
+  ThreadPool::Loop* loop = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (ThreadPool* p : members_) {
       if (p == thief) continue;
+      // Joining under the victim's lock is what its caller's erase-and-wait
+      // synchronizes with, exactly as for the victim's own workers.
       std::lock_guard<std::mutex> plock(p->mu_);
-      if (p->queue_.empty()) continue;
-      task = std::move(p->queue_.front());
-      p->queue_.pop_front();
-      have = true;
-      break;
-    }
-    if (have) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      steals_.fetch_add(1, std::memory_order_relaxed);
+      loop = p->join_locked();
+      if (loop != nullptr) break;
     }
   }
-  if (!have) return false;
-  task.fn();  // outside all locks; the task owns its state via LoopShared
+  if (loop == nullptr) return false;
+  steals_.fetch_add(1, std::memory_order_relaxed);
+  ThreadPool::help(*loop);
   return true;
 }
 
-ThreadPool::ThreadPool(unsigned num_threads) { start(num_threads); }
-
-ThreadPool::ThreadPool(const ThreadPoolOptions& opts)
-    : help_foreign_(opts.help_foreign),
-      pin_threads_(opts.pin_threads),
-      cpus_(opts.cpus),
-      group_(opts.steal_group) {
-  unsigned num_threads = opts.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (pin_threads_ && cpus_.empty()) {
-    for (unsigned i = 0; i < num_threads; ++i) {
-      cpus_.push_back(static_cast<int>(i));
-    }
-  }
-  start(num_threads);
-  if (group_ != nullptr) group_->add(this);
-}
-
-void ThreadPool::start(unsigned num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+ThreadPool::ThreadPool(unsigned width, WorkStealGroup* group)
+    : group_(group) {
+  if (width == 0) width = std::max(1u, std::thread::hardware_concurrency());
   // The caller participates in parallel_for, so spawn one fewer worker.
-  const unsigned spawned = num_threads > 1 ? num_threads - 1 : 0;
-  workers_.reserve(spawned);
-  for (unsigned i = 0; i < spawned; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  workers_.reserve(width - 1);
+  for (unsigned i = 1; i < width; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
+  if (group_ != nullptr) group_->add(this);
 }
 
 ThreadPool::~ThreadPool() {
@@ -176,164 +141,126 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
-  if (group_ != nullptr) {
-    // After remove() returns no sibling can reach this pool's queue; any
-    // leftover tasks (there should be none — loops erase their own stale
-    // helpers) are counted out of the group's pending total.
-    group_->remove(this);
-    if (!queue_.empty()) {
-      group_->note_dequeued(static_cast<std::int64_t>(queue_.size()));
-    }
-  }
+  // Every loop erases its own entries before returning, so the ring is
+  // empty here; once remove() returns no sibling can reach it.
+  if (group_ != nullptr) group_->remove(this);
 }
 
-std::size_t ThreadPool::queued_tasks() const {
+std::size_t ThreadPool::queued_helpers() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+  return count_;
 }
 
 const void* ThreadPool::current_key() { return tls_current_pool; }
 
-bool ThreadPool::pin_current_thread(int cpu) {
-#ifdef __linux__
-  if (cpu < 0 || cpu >= CPU_SETSIZE) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
+ThreadPool::Loop* ThreadPool::join_locked() {
+  while (count_ > 0) {
+    Loop* loop = ring_[head_];
+    head_ = (head_ + 1) % kRingSlots;
+    --count_;
+    if (group_ != nullptr) group_->note_dequeued(1);
+    if (loop->next.load() < loop->nchunks) {
+      ++loop->joined;
+      return loop;
+    }
+  }
+  return nullptr;
 }
 
-void ThreadPool::worker_loop(unsigned index) {
-  if (pin_threads_ && index + 1 < cpus_.size()) {
-    pin_current_thread(cpus_[index + 1]);  // best-effort
-  }
+void ThreadPool::help(Loop& loop) {
+  loop.run_chunks();
+  // Notify under the lock: the caller cannot observe the final count, and
+  // so cannot unwind the frame holding `loop`, until this unlock.
+  std::lock_guard<std::mutex> lock(loop.mu);
+  ++loop.left;
+  loop.left_cv.notify_one();
+}
+
+void ThreadPool::worker_loop() {
   CurrentPoolScope scope(this);
   for (;;) {
-    Task task;
-    bool have = false;
+    Loop* loop = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] {
-        return stop_ || !queue_.empty() ||
+        return stop_ || count_ > 0 ||
                (group_ != nullptr && group_->pending() > 0);
       });
-      if (stop_ && queue_.empty()) return;
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-        have = true;
-      }
+      if (stop_) return;
+      loop = join_locked();
     }
-    if (have) {
-      if (group_ != nullptr) group_->note_dequeued(1);
-      task.fn();
+    if (loop != nullptr) {
+      help(*loop);
       continue;
     }
-    // Own queue empty but the group has pending work: steal from a sibling.
+    // Own ring empty but the group has pending work: steal from a sibling.
     if (group_ != nullptr && group_->steal_and_run(this)) continue;
     std::this_thread::yield();  // lost the race; re-check the predicate
   }
 }
 
-bool ThreadPool::run_one() {
-  Task task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  if (group_ != nullptr) group_->note_dequeued(1);
-  task.fn();
-  return true;
-}
-
-void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
-                              const std::function<void(std::int64_t)>& fn,
+void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end, Body fn,
                               std::int64_t grain) {
   APNN_CHECK(grain >= 1) << "grain=" << grain;
   if (begin >= end) return;
+  CurrentPoolScope scope(this);
   const std::int64_t n = end - begin;
   const std::int64_t nchunks = (n + grain - 1) / grain;
   // Helper budget: own workers plus, when grouped, idle siblings that could
-  // steal a queued drain task (a 1-wide slice in a group still fans out).
+  // steal a queued entry (a 1-wide slice in a group still fans out).
   const std::int64_t budget =
       static_cast<std::int64_t>(workers_.size()) +
       (group_ != nullptr ? group_->workers_besides(this) : 0);
-  const std::int64_t helpers = std::min<std::int64_t>(budget, nchunks - 1);
+  std::int64_t helpers = std::min<std::int64_t>(budget, nchunks - 1);
   if (helpers <= 0) {
-    CurrentPoolScope scope(this);
     for (std::int64_t i = begin; i < end; ++i) fn(i);
     return;
   }
 
-  auto shared = std::make_shared<LoopShared>();
-  shared->fn = fn;
-  shared->begin = begin;
-  shared->end = end;
-  shared->grain = grain;
-  shared->nchunks = nchunks;
-
-  // One queued task per helper; each drains the shared chunk counter. Tasks
-  // are self-contained (own the loop state through `shared`) so a stale or
-  // stolen helper can never dangle into this frame.
+  Loop loop(fn, begin, end, grain, nchunks);
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // A full ring queues fewer helpers; the caller runs what they would.
+    helpers = std::min<std::int64_t>(
+        helpers, static_cast<std::int64_t>(kRingSlots - count_));
     for (std::int64_t i = 0; i < helpers; ++i) {
-      queue_.push_back(Task{[shared] { run_chunks(shared); }, shared.get()});
+      ring_[(head_ + count_) % kRingSlots] = &loop;
+      ++count_;
     }
   }
-  cv_.notify_all();
-  if (group_ != nullptr) group_->note_enqueued(helpers, this);
-
-  {
-    CurrentPoolScope scope(this);
-    run_chunks(shared);  // caller participates
+  if (helpers > 0) {
+    cv_.notify_all();
+    if (group_ != nullptr) group_->note_enqueued(helpers, this);
   }
 
-  if (help_foreign_) {
-    // Help drain any unrelated queued tasks while waiting (avoids idling if
-    // parallel_for is nested); park briefly on the completion signal when the
-    // queue is empty instead of spinning.
-    CurrentPoolScope scope(this);
-    while (shared->done.load(std::memory_order_acquire) < nchunks) {
-      if (!run_one()) {
-        std::unique_lock<std::mutex> lock(shared->mu);
-        shared->done_cv.wait_for(lock, std::chrono::microseconds(200), [&] {
-          return shared->done.load(std::memory_order_acquire) >= nchunks;
-        });
-      }
-    }
-  } else {
-    // Latency-bounded wait: only this loop's chunks can extend the caller's
-    // critical path — never an arbitrary foreign task.
-    std::unique_lock<std::mutex> lock(shared->mu);
-    shared->done_cv.wait(lock, [&] {
-      return shared->done.load(std::memory_order_acquire) >= nchunks;
-    });
-  }
+  loop.run_chunks();  // caller participates
 
-  // Drop stale helpers: every chunk is claimed, so helpers still queued are
-  // pure no-ops — erase them instead of leaving them for a later dequeue.
-  std::int64_t removed = 0;
+  // Every chunk is claimed. Erase the entries no helper took (they could
+  // only find the loop exhausted), which also closes admission: after this
+  // critical section `joined` is final.
+  int joined = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (it->tag == shared.get()) {
-        it = queue_.erase(it);
-        ++removed;
-      } else {
-        ++it;
-      }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count_; ++i) {
+      Loop* e = ring_[(head_ + i) % kRingSlots];
+      if (e != &loop) ring_[(head_ + kept++) % kRingSlots] = e;
     }
+    if (group_ != nullptr && kept < count_) {
+      group_->note_dequeued(static_cast<std::int64_t>(count_ - kept));
+    }
+    count_ = kept;
+    joined = loop.joined;
   }
-  if (removed > 0 && group_ != nullptr) group_->note_dequeued(removed);
+  // The latch: every admitted helper is running a chunk or about to leave;
+  // wait for all of them before this frame (and `loop`) goes away. Once they
+  // have left, every chunk has completed.
+  if (joined > 0) {
+    std::unique_lock<std::mutex> lock(loop.mu);
+    loop.left_cv.wait(lock, [&] { return loop.left == joined; });
+  }
 
-  if (shared->failed.load()) std::rethrow_exception(shared->error);
+  if (loop.failed.load()) std::rethrow_exception(loop.error);
 }
 
 ThreadPool& ThreadPool::global() {
@@ -341,8 +268,7 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn,
+void parallel_for(std::int64_t begin, std::int64_t end, ThreadPool::Body fn,
                   std::int64_t grain) {
   ThreadPool::global().parallel_for(begin, end, fn, grain);
 }

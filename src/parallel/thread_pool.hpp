@@ -5,37 +5,39 @@
 // captured and rethrown on the caller's thread.
 //
 // Pools can be carved into disjoint slices: each InferenceServer replica owns
-// a private pool (optionally pinned to a CPU range) instead of all replicas
-// oversubscribing the process-global pool. Slices registered in one
-// WorkStealGroup steal queued chunk tasks from busy siblings when idle.
+// a private pool instead of all replicas oversubscribing the process-global
+// pool. Slices registered in one WorkStealGroup steal queued helper entries
+// from busy siblings when idle.
+//
+// parallel_for allocates nothing: the loop descriptor lives on the caller's
+// stack, the body is a non-owning reference, and helpers are queued as
+// descriptor pointers in a fixed-capacity ring (DESIGN.md §10).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace apnn {
 
 class ThreadPool;
 
-/// Registry that lets idle member pools steal queued chunk tasks from busy
-/// siblings. Members register at construction and unregister at destruction;
-/// the group must outlive every member pool. All queued tasks are
-/// self-contained (they own their loop state via a shared block), so a task
-/// may safely run on any thread in the group.
+/// Registry that lets idle member pools steal queued helper entries from
+/// busy siblings. Members register at construction and unregister at
+/// destruction; the group must outlive every member pool.
 class WorkStealGroup {
  public:
   WorkStealGroup() = default;
   WorkStealGroup(const WorkStealGroup&) = delete;
   WorkStealGroup& operator=(const WorkStealGroup&) = delete;
 
-  /// Total tasks stolen across the group's lifetime.
+  /// Total helper entries stolen across the group's lifetime.
   std::int64_t steals() const {
     return steals_.load(std::memory_order_relaxed);
   }
@@ -55,7 +57,7 @@ class WorkStealGroup {
   std::int64_t pending() const {
     return pending_.load(std::memory_order_acquire);
   }
-  /// Pops one task from a sibling of `thief` and runs it on this thread.
+  /// Joins a sibling's loop as a helper and runs its chunks on this thread.
   bool steal_and_run(ThreadPool* thief);
   /// Worker threads owned by members other than `self` (helper budget).
   std::int64_t workers_besides(const ThreadPool* self) const;
@@ -67,32 +69,40 @@ class WorkStealGroup {
   std::atomic<std::int64_t> total_workers_{0};
 };
 
-/// Construction knobs for a pool slice. The plain ThreadPool(unsigned)
-/// constructor is equivalent to only setting num_threads.
-struct ThreadPoolOptions {
-  /// Logical width including the calling thread; 0 = hardware_concurrency().
-  unsigned num_threads = 0;
-  /// Pin worker threads to `cpus` (Linux; best-effort, ignored elsewhere).
-  bool pin_threads = false;
-  /// CPU ids for pinning: cpus[0] is reserved for the caller/dispatcher slot
-  /// (pin it yourself via pin_current_thread), workers take cpus[1..]. Empty
-  /// with pin_threads set derives the identity mapping 0..num_threads-1.
-  std::vector<int> cpus;
-  /// When false, a blocked parallel_for caller waits on the loop's own
-  /// completion signal instead of running unrelated queued tasks, so a
-  /// latency-sensitive caller (a replica serving deadline traffic) never
-  /// absorbs a foreign task. The global pool keeps foreign help.
-  bool help_foreign = true;
-  /// Optional stealing group; must outlive the pool.
-  WorkStealGroup* steal_group = nullptr;
-};
-
 /// Fixed-size worker pool with a blocking parallel_for.
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers; 0 means hardware_concurrency().
-  explicit ThreadPool(unsigned num_threads = 0);
-  explicit ThreadPool(const ThreadPoolOptions& opts);
+  /// Non-owning reference to a loop body `void(std::int64_t)`. Binds to any
+  /// callable — a call-site lambda or a `const std::function&` — without
+  /// copying it; the callable must outlive the parallel_for call, which a
+  /// temporary at the call site does.
+  class Body {
+   public:
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::remove_cvref_t<F>, Body>>>
+    Body(F&& f)  // implicit, so call sites pass a lambda directly
+        : obj_(const_cast<void*>(
+              static_cast<const void*>(std::addressof(f)))),
+          call_([](void* obj, std::int64_t i) {
+            (*static_cast<std::remove_reference_t<F>*>(obj))(i);
+          }) {}
+
+    void operator()(std::int64_t i) const { call_(obj_, i); }
+
+   private:
+    void* obj_;
+    void (*call_)(void*, std::int64_t);
+  };
+
+  /// Helper entries one pool can hold queued at once. A loop queues at most
+  /// the free slots; the chunks no helper takes run on the caller.
+  static constexpr std::size_t kRingSlots = 64;
+
+  /// Logical width `width` (the participating caller plus width - 1
+  /// workers); 0 means hardware_concurrency(). A non-null `group` (which
+  /// must outlive the pool) lets idle siblings steal this pool's helpers.
+  explicit ThreadPool(unsigned width = 0, WorkStealGroup* group = nullptr);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -103,13 +113,13 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [begin, end), partitioned into chunks of `grain`
   /// indices, blocking until every index has completed. The calling thread
-  /// participates in the work. Rethrows the first task exception.
-  void parallel_for(std::int64_t begin, std::int64_t end,
-                    const std::function<void(std::int64_t)>& fn,
+  /// participates and waits only on this loop's own chunks. Rethrows the
+  /// first task exception. Performs no heap allocation.
+  void parallel_for(std::int64_t begin, std::int64_t end, Body fn,
                     std::int64_t grain = 1);
 
-  /// Tasks currently sitting in this pool's queue (introspection for tests).
-  std::size_t queued_tasks() const;
+  /// Helper entries currently queued in this pool's ring (for tests).
+  std::size_t queued_helpers() const;
 
   /// Identity of the pool whose work the calling thread is currently
   /// executing (nullptr outside any pool task). Used purely as an opaque key
@@ -118,42 +128,34 @@ class ThreadPool {
   /// dereference: the pool may be gone by the time the key is compared.
   static const void* current_key();
 
-  /// Best-effort affinity pin for the calling thread (Linux; returns false
-  /// elsewhere or on failure). Exposed so a server can pin its dispatcher
-  /// threads onto their replica's CPU slot.
-  static bool pin_current_thread(int cpu);
-
   /// Process-wide pool (lazily constructed).
   static ThreadPool& global();
 
  private:
   friend class WorkStealGroup;
 
-  struct Task {
-    std::function<void()> fn;
-    /// Identity of the parallel_for that queued this task; lets the loop
-    /// erase its own stale helpers on return. Opaque, never dereferenced.
-    const void* tag = nullptr;
-  };
+  struct Loop;
 
-  void start(unsigned num_threads);
-  void worker_loop(unsigned index);
-  bool run_one();  // returns false if queue empty
+  void worker_loop();
+  /// Pops ring entries until one admits this thread as a helper of its
+  /// loop (unclaimed chunks remain); stale entries are dropped. Caller
+  /// holds mu_.
+  Loop* join_locked();
+  /// Runs a joined loop's chunks, then leaves its join latch.
+  static void help(Loop& loop);
 
   std::vector<std::thread> workers_;
-  std::deque<Task> queue_;
-  mutable std::mutex mu_;
+  Loop* ring_[kRingSlots] = {};
+  std::size_t head_ = 0;   ///< index of the oldest entry
+  std::size_t count_ = 0;  ///< entries queued
+  mutable std::mutex mu_;  // guards ring_/head_/count_/stop_ and joins
   std::condition_variable cv_;
   bool stop_ = false;
-  bool help_foreign_ = true;
-  bool pin_threads_ = false;
-  std::vector<int> cpus_;
   WorkStealGroup* group_ = nullptr;
 };
 
 /// Convenience wrapper over ThreadPool::global().
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn,
+void parallel_for(std::int64_t begin, std::int64_t end, ThreadPool::Body fn,
                   std::int64_t grain = 1);
 
 }  // namespace apnn

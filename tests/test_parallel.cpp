@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <functional>
 #include <mutex>
+#include <new>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -10,6 +13,38 @@
 
 #include "src/common/check.hpp"
 #include "src/parallel/thread_pool.hpp"
+
+// --- global allocation counter ----------------------------------------------
+// Counts every operator-new in this binary, so the zero-allocation test sees
+// helper-side allocations on worker threads too.
+namespace {
+std::atomic<std::int64_t> g_allocs{0};
+}
+
+// noinline: keeps GCC from pairing an inlined new with free() and raising
+// -Wmismatched-new-delete on this malloc/free counting allocator.
+#if defined(__GNUC__)
+#define APNN_TEST_NOINLINE __attribute__((noinline))
+#else
+#define APNN_TEST_NOINLINE
+#endif
+
+APNN_TEST_NOINLINE void* operator new(std::size_t sz) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(sz ? sz : 1)) return p;
+  throw std::bad_alloc();
+}
+APNN_TEST_NOINLINE void* operator new[](std::size_t sz) {
+  return ::operator new(sz);
+}
+APNN_TEST_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
+APNN_TEST_NOINLINE void operator delete[](void* p) noexcept { std::free(p); }
+APNN_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+APNN_TEST_NOINLINE void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace apnn {
 namespace {
@@ -141,13 +176,10 @@ TEST(ThreadPoolSlices, CurrentKeyTracksExecutingPool) {
   EXPECT_EQ(ThreadPool::current_key(), nullptr);
 }
 
-// A latency-bounded slice (help_foreign = false, the replica configuration)
-// still runs loops, nested loops included, to completion.
+// Every pool's blocked caller waits only on its own loop's chunks; nested
+// loops on the same pool still run to completion.
 TEST(ThreadPoolSlices, BoundedWaitSliceRunsNestedLoops) {
-  ThreadPoolOptions o;
-  o.num_threads = 3;
-  o.help_foreign = false;
-  ThreadPool pool(o);
+  ThreadPool pool(3);
   std::atomic<std::int64_t> sum{0};
   pool.parallel_for(0, 16, [&](std::int64_t i) {
     std::atomic<std::int64_t> inner{0};
@@ -158,36 +190,16 @@ TEST(ThreadPoolSlices, BoundedWaitSliceRunsNestedLoops) {
   EXPECT_EQ(sum.load(), 120);
 }
 
-// Pinning is best-effort and must never change results. cpus = {0, 0} keeps
-// the test valid on a 1-core container.
-TEST(ThreadPoolSlices, PinnedPoolComputesCorrectly) {
-  ThreadPoolOptions o;
-  o.num_threads = 2;
-  o.pin_threads = true;
-  o.cpus = {0, 0};
-  ThreadPool pool(o);
-  std::atomic<std::int64_t> sum{0};
-  pool.parallel_for(0, 256, [&](std::int64_t i) { sum += i; }, 16);
-  EXPECT_EQ(sum.load(), 255 * 256 / 2);
-#ifdef __linux__
-  EXPECT_TRUE(ThreadPool::pin_current_thread(0));
-#endif
-  EXPECT_FALSE(ThreadPool::pin_current_thread(-1));
-}
-
 // --- work stealing between slices -------------------------------------------
 
 TEST(WorkStealGroup, TracksMembership) {
   WorkStealGroup group;
   EXPECT_EQ(group.pools(), 0);
-  ThreadPoolOptions o;
-  o.num_threads = 2;
-  o.steal_group = &group;
   {
-    ThreadPool a(o);
+    ThreadPool a(2, &group);
     EXPECT_EQ(group.pools(), 1);
     {
-      ThreadPool b(o);
+      ThreadPool b(2, &group);
       EXPECT_EQ(group.pools(), 2);
     }
     EXPECT_EQ(group.pools(), 1);
@@ -197,15 +209,11 @@ TEST(WorkStealGroup, TracksMembership) {
 }
 
 // Synthetic imbalance: slice A runs a long loop while slice B sits idle in
-// the same group. B's worker must steal A's queued helper task and absorb
+// the same group. B's worker must steal A's queued helper entry and absorb
 // chunks; the loop's results stay exact (every index exactly once).
 TEST(WorkStealGroup, IdleSiblingStealsUnderImbalance) {
   WorkStealGroup group;
-  ThreadPoolOptions o;
-  o.num_threads = 2;  // 1 worker each
-  o.help_foreign = false;  // the caller never dequeues its own helpers
-  o.steal_group = &group;
-  ThreadPool a(o), b(o);
+  ThreadPool a(2, &group), b(2, &group);  // 1 worker each
   // Retry: stealing is a race the idle sibling should win within a ~60 ms
   // loop, but nothing forces it on a loaded host — keep trying briefly.
   for (int round = 0; round < 20 && group.steals() == 0; ++round) {
@@ -215,8 +223,8 @@ TEST(WorkStealGroup, IdleSiblingStealsUnderImbalance) {
       hits[static_cast<std::size_t>(i)]++;
     });
     for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
-    EXPECT_EQ(a.queued_tasks(), 0u);
-    EXPECT_EQ(b.queued_tasks(), 0u);
+    EXPECT_EQ(a.queued_helpers(), 0u);
+    EXPECT_EQ(b.queued_helpers(), 0u);
   }
   EXPECT_GT(group.steals(), 0)
       << "idle sibling never stole from the loaded slice";
@@ -226,13 +234,7 @@ TEST(WorkStealGroup, IdleSiblingStealsUnderImbalance) {
 // slice) still fans out — its helper budget comes from sibling workers.
 TEST(WorkStealGroup, OneWideSliceFansOutViaSiblings) {
   WorkStealGroup group;
-  ThreadPoolOptions narrow;
-  narrow.num_threads = 1;
-  narrow.help_foreign = false;
-  narrow.steal_group = &group;
-  ThreadPoolOptions wide = narrow;
-  wide.num_threads = 3;
-  ThreadPool a(narrow), helpers(wide);
+  ThreadPool a(1, &group), helpers(3, &group);
   for (int round = 0; round < 20 && group.steals() == 0; ++round) {
     std::vector<std::atomic<int>> hits(24);
     a.parallel_for(0, 24, [&](std::int64_t i) {
@@ -246,10 +248,10 @@ TEST(WorkStealGroup, OneWideSliceFansOutViaSiblings) {
 
 // --- stale-helper / dangling-capture regression ------------------------------
 
-// The queued helper tasks used to capture the parallel_for frame (&fn) by
-// reference: a helper dequeued after the loop returned dereferenced a dead
-// stack frame. Tasks are now self-contained and the loop erases its own
-// stale helpers on return — pin both.
+// Queued helpers point at the parallel_for frame: a helper dequeued after
+// the loop returned would dereference a dead stack frame. The loop erases
+// its unclaimed entries on return and waits out the helpers that took one —
+// pin both.
 TEST(ThreadPool, StaleHelpersAreErasedNotDangled) {
   ThreadPool pool(2);  // one worker
   std::atomic<bool> gate{false};
@@ -264,28 +266,135 @@ TEST(ThreadPool, StaleHelpersAreErasedNotDangled) {
       }
     });
   });
-  // Both chunks claimed (caller + worker) before proceeding: otherwise the
-  // fast loop's caller could absorb a blocked chunk via its help loop and
-  // spin on the gate this thread is supposed to open.
+  // Both chunks claimed (caller + worker) before proceeding, so the worker
+  // is known to be stuck inside the blocked loop.
   while (blockers.load() < 2) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   // With the worker busy, this loop's caller drains every chunk itself;
-  // its queued helper task must be gone by the time parallel_for returns —
+  // its queued helper entry must be gone by the time parallel_for returns —
   // erased (stale) or absorbed, never left to fire against a dead frame.
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> count{0};
     pool.parallel_for(0, 64, [&](std::int64_t) { ++count; });
     ASSERT_EQ(count.load(), 64);
   }
-  EXPECT_EQ(pool.queued_tasks(), 0u);
+  EXPECT_EQ(pool.queued_helpers(), 0u);
   gate = true;
   blocked.join();
   // The worker must come back healthy after the blocked loop drains.
   std::atomic<int> after{0};
   pool.parallel_for(0, 128, [&](std::int64_t) { ++after; });
   EXPECT_EQ(after.load(), 128);
-  EXPECT_EQ(pool.queued_tasks(), 0u);
+  EXPECT_EQ(pool.queued_helpers(), 0u);
+}
+
+// --- heap-free loop path -----------------------------------------------------
+
+// A warm parallel_for allocates nothing at any width, grouped or not, with a
+// call-site lambda or a `const std::function&` body: the loop descriptor is
+// on the caller's stack and helpers queue as ring pointers.
+TEST(ThreadPool, ParallelForAllocatesNothing) {
+  WorkStealGroup group;
+  ThreadPool w1(1), w2(2), w4(4);
+  ThreadPool grouped(2, &group), sibling(2, &group);
+  std::atomic<std::int64_t> sum{0};
+  const std::function<void(std::int64_t)> fbody = [&](std::int64_t i) {
+    sum += i;
+  };
+  for (ThreadPool* pool : {&w1, &w2, &w4, &grouped}) {
+    sum = 0;
+    pool->parallel_for(0, 64, fbody);  // warm
+    const std::int64_t before = g_allocs.load();
+    for (int rep = 0; rep < 100; ++rep) {
+      pool->parallel_for(0, 64, [&](std::int64_t i) { sum += i; });
+      pool->parallel_for(0, 64, fbody);
+    }
+    EXPECT_EQ(g_allocs.load() - before, 0)
+        << "width " << pool->size() + 1;
+    EXPECT_EQ(sum.load(), 201 * 2016);
+  }
+}
+
+// Runs one 2-chunk loop whose body writes into this frame. The caller
+// usually finishes both chunks while a helper that took the entry is still
+// arriving; the join latch must keep the frame alive until it has left.
+void two_chunk_loop(ThreadPool& pool, std::atomic<int>& bad) {
+  std::int64_t seen[2] = {-1, -1};
+  const std::int64_t tag = 0x5eed;
+  pool.parallel_for(0, 2, [&](std::int64_t i) { seen[i] = tag + i; });
+  if (seen[0] != tag || seen[1] != tag + 1) ++bad;
+}
+
+// Stress for the latch, own workers and thieves alike (the ASan and TSan
+// legs run it): callers' frames go out of scope right after each loop.
+TEST(ThreadPool, CallerFramesOutliveLateHelpers) {
+  WorkStealGroup group;
+  ThreadPool a(2, &group), b(2, &group), c(4);
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (ThreadPool* pool : {&a, &b, &c}) {
+    callers.emplace_back([pool, &bad] {
+      for (int rep = 0; rep < 40000; ++rep) two_chunk_loop(*pool, bad);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(a.queued_helpers(), 0u);
+  EXPECT_EQ(b.queued_helpers(), 0u);
+  EXPECT_EQ(c.queued_helpers(), 0u);
+}
+
+// More concurrent callers than the ring has slots: the overflow callers
+// queue no helper and run every chunk themselves; every index still runs
+// exactly once.
+TEST(ThreadPool, MoreCallersThanRingSlots) {
+  ThreadPool pool(2);  // one worker: each loop queues one helper entry
+  std::atomic<bool> worker_gate{false}, caller_gate{false};
+  std::atomic<int> blockers{0};
+  std::thread blocked([&] {
+    pool.parallel_for(0, 2, [&](std::int64_t) {
+      ++blockers;
+      while (!worker_gate.load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+  });
+  while (blockers.load() < 2) {  // the worker is stuck in `blocked`
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+
+  constexpr int kCallers = static_cast<int>(ThreadPool::kRingSlots) + 8;
+  std::atomic<int> inside{0}, bad{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      std::atomic<int> hits[2] = {0, 0};
+      pool.parallel_for(0, 2, [&](std::int64_t i) {
+        if (i == 0) {
+          ++inside;  // entry (if any) is queued; hold chunk 1 unclaimed
+          while (!caller_gate.load()) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
+        }
+        hits[i]++;
+      });
+      if (hits[0].load() != 1 || hits[1].load() != 1) ++bad;
+    });
+  }
+  while (inside.load() < kCallers) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  EXPECT_EQ(pool.queued_helpers(), ThreadPool::kRingSlots);
+  caller_gate = true;
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(pool.queued_helpers(), 0u);
+  worker_gate = true;
+  blocked.join();
+  std::atomic<int> after{0};
+  pool.parallel_for(0, 128, [&](std::int64_t) { ++after; });
+  EXPECT_EQ(after.load(), 128);
 }
 
 }  // namespace

@@ -2,28 +2,32 @@
 //   * session forward bit-exact vs forward_reference (residual dataflow,
 //     standalone-quantize path, multi-bit, binary, varying batch);
 //   * steady-state memory discipline: the slab footprint settles at its
-//     high-water mark and per-run heap allocation counts stop changing.
+//     high-water mark and a warm run() performs zero heap allocations at
+//     pool widths 1, 2 and 4.
 // The serving front-end (replicated InferenceServer) is gated separately in
 // tests/test_server.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "src/nn/apnn_network.hpp"
 #include "src/nn/model.hpp"
 #include "src/nn/session.hpp"
+#include "src/parallel/scratch.hpp"
+#include "src/parallel/thread_pool.hpp"
 #include "src/tcsim/device_spec.hpp"
 
 // --- global allocation counter ----------------------------------------------
-// Counts every operator-new in the binary. The steady-state test pins that
-// the number of allocations a run() performs stops changing once the slab
-// and the scratch arenas have reached their high-water marks (the remaining
-// per-run count is the constant std::function / kernel-internal churn, not
-// growth). Overriding new/delete is per-binary, so this affects only
-// test_session.
+// Counts every operator-new in the binary, worker threads included. The
+// steady-state tests pin that a run() allocates nothing once the slab, the
+// scratch arenas and the per-thread kernel buffers have reached their
+// high-water marks. Overriding new/delete is per-binary, so this affects
+// only test_session.
 namespace {
 std::atomic<std::int64_t> g_allocs{0};
 }
@@ -58,6 +62,35 @@ namespace apnn::nn {
 namespace {
 
 const tcsim::DeviceSpec& dev() { return tcsim::rtx3090(); }
+
+/// Pool widths the allocation tests run at, each through
+/// SessionOptions::pool, so a narrow host cannot hide a multi-worker
+/// regression.
+constexpr unsigned kPoolWidths[] = {1, 2, 4};
+
+/// Creates every pool thread's scratch arena for `pool`. Each of `width`
+/// chunks waits until all are claimed, so each lands on a distinct thread;
+/// otherwise a worker that scheduling kept out of every warm-up run would
+/// build its arena (its first block ever) inside a measured run.
+void warm_arenas(ThreadPool& pool) {
+  const unsigned width = pool.size() + 1;
+  std::atomic<unsigned> arrived{0};
+  pool.parallel_for(0, width, [&](std::int64_t) {
+    parallel::ScratchArena& arena = parallel::ScratchArena::tls();
+    arena.get<std::byte>(1);
+    arena.reset();
+    ++arrived;
+    while (arrived.load() < width) std::this_thread::yield();
+  });
+}
+
+std::int64_t allocs_of_run(InferenceSession& session,
+                           const Tensor<std::int32_t>& in,
+                           Tensor<std::int32_t>* logits) {
+  const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
+  session.run(in, logits);
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
 
 Tensor<std::int32_t> random_input(std::int64_t b, const ModelSpec& m,
                                   std::uint64_t seed) {
@@ -196,32 +229,33 @@ TEST(Session, SteadyStateFootprintAndAllocationsStable) {
   ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 320);
   const auto input = random_input(4, m, 321);
   net.calibrate(input);
-  InferenceSession session(net, dev());
-  Tensor<std::int32_t> logits;
+  for (const unsigned width : kPoolWidths) {
+    ThreadPool pool(width);
+    warm_arenas(pool);
+    SessionOptions so;
+    so.pool = &pool;
+    InferenceSession session(net, dev(), so);
+    Tensor<std::int32_t> logits;
 
-  // Warm up: slab buffers, scratch arenas, and worker threads reach their
-  // high-water marks.
-  for (int i = 0; i < 3; ++i) session.run(input, &logits);
+    // Warm up: slab buffers, scratch arenas, and worker threads reach their
+    // high-water marks.
+    for (int i = 0; i < 5; ++i) session.run(input, &logits);
 
-  const std::size_t settled_capacity = session.slab().capacity_bytes();
-  const std::size_t settled_high_water = session.slab().high_water_bytes();
-  EXPECT_GT(settled_capacity, 0u);
-  EXPECT_EQ(settled_capacity, settled_high_water);
+    const std::size_t settled_capacity = session.slab().capacity_bytes();
+    const std::size_t settled_high_water = session.slab().high_water_bytes();
+    EXPECT_GT(settled_capacity, 0u);
+    EXPECT_EQ(settled_capacity, settled_high_water);
 
-  auto allocs_of_one_run = [&] {
-    const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
-    session.run(input, &logits);
-    return g_allocs.load(std::memory_order_relaxed) - before;
-  };
-  const std::int64_t run_a = allocs_of_one_run();
-  const std::int64_t run_b = allocs_of_one_run();
-
-  // The slab stopped growing: the pass runs entirely out of recycled slots
-  // (every kernel writes into caller-provided storage), and the per-run
-  // allocation count is flat — no buffer churn, no accumulation.
-  EXPECT_EQ(session.slab().capacity_bytes(), settled_capacity);
-  EXPECT_EQ(session.slab().high_water_bytes(), settled_high_water);
-  EXPECT_EQ(run_a, run_b);
+    // The slab stopped growing: the pass runs entirely out of recycled
+    // slots (every kernel writes into caller-provided storage), and a run
+    // allocates nothing — no buffer churn, no per-loop bookkeeping.
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(allocs_of_run(session, input, &logits), 0)
+          << "width " << width;
+    }
+    EXPECT_EQ(session.slab().capacity_bytes(), settled_capacity);
+    EXPECT_EQ(session.slab().high_water_bytes(), settled_high_water);
+  }
 }
 
 TEST(Session, SlabGrowsOnlyForLargerBatches) {
@@ -253,25 +287,26 @@ TEST(Session, AlternatingSeenBatchesStayAllocationFlat) {
   const ModelSpec m = mini_resnet(3, 8, 5);
   ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 350);
   net.calibrate(random_input(1, m, 351));
-  InferenceSession session(net, dev());
-  Tensor<std::int32_t> logits;
   const auto in4 = random_input(4, m, 352);
   const auto in2 = random_input(2, m, 353);
-  for (int i = 0; i < 2; ++i) {  // warm both sizes
-    session.run(in4, &logits);
-    session.run(in2, &logits);
+  for (const unsigned width : kPoolWidths) {
+    ThreadPool pool(width);
+    warm_arenas(pool);
+    SessionOptions so;
+    so.pool = &pool;
+    InferenceSession session(net, dev(), so);
+    Tensor<std::int32_t> logits;
+    for (int i = 0; i < 3; ++i) {  // warm both sizes
+      session.run(in4, &logits);
+      session.run(in2, &logits);
+    }
+    const std::size_t cap = session.slab().capacity_bytes();
+    for (int i = 0; i < 2; ++i) {  // alternation allocates nothing
+      EXPECT_EQ(allocs_of_run(session, in4, &logits), 0) << "width " << width;
+      EXPECT_EQ(allocs_of_run(session, in2, &logits), 0) << "width " << width;
+    }
+    EXPECT_EQ(session.slab().capacity_bytes(), cap);
   }
-  const std::size_t cap = session.slab().capacity_bytes();
-  auto allocs_of = [&](const Tensor<std::int32_t>& in) {
-    const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
-    session.run(in, &logits);
-    return g_allocs.load(std::memory_order_relaxed) - before;
-  };
-  const std::int64_t a4 = allocs_of(in4);
-  const std::int64_t a2 = allocs_of(in2);
-  EXPECT_EQ(a4, allocs_of(in4));  // alternation changed nothing
-  EXPECT_EQ(a2, allocs_of(in2));
-  EXPECT_EQ(session.slab().capacity_bytes(), cap);
 }
 
 
@@ -341,35 +376,38 @@ TEST(Session, AttentionPadsOffBucketLengthsUp) {
 TEST(Session, AttentionSteadyStateAcrossBucketsStaysFlat) {
   // One plan family serving mixed sequence lengths: after a warm pass over
   // every bucket, further traffic (any bucket order, padded lengths
-  // included) must not grow the slab and must hold the per-run allocation
-  // count flat — serving mixed lengths allocates nothing in steady state.
+  // included) must not grow the slab and must allocate nothing — serving
+  // mixed lengths allocates nothing in steady state.
   const ModelSpec m = tiny_transformer();
   ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 410);
   net.calibrate(random_tokens(2, m.input.h, m.input.c, 411));
-  InferenceSession session(net, dev());
-  Tensor<std::int32_t> logits;
   std::vector<Tensor<std::int32_t>> inputs;
   for (const std::int64_t seq : m.seq_buckets) {
     inputs.push_back(random_tokens(1, seq, m.input.c,
                                    412 + static_cast<unsigned>(seq)));
   }
   inputs.push_back(random_tokens(1, 50, m.input.c, 413));  // pads to 64
-  for (int warm = 0; warm < 2; ++warm) {
-    for (const auto& in : inputs) session.run(in, &logits);
+  for (const unsigned width : kPoolWidths) {
+    ThreadPool pool(width);
+    warm_arenas(pool);
+    SessionOptions so;
+    so.pool = &pool;
+    InferenceSession session(net, dev(), so);
+    Tensor<std::int32_t> logits;
+    for (int warm = 0; warm < 3; ++warm) {
+      for (const auto& in : inputs) session.run(in, &logits);
+    }
+    const std::size_t cap = session.slab().capacity_bytes();
+    EXPECT_EQ(cap, session.slab().high_water_bytes());
+    for (int i = 0; i < 2; ++i) {
+      for (const auto& in : inputs) {
+        EXPECT_EQ(allocs_of_run(session, in, &logits), 0)
+            << "width " << width << " seq " << in.shape()[1];
+      }
+    }
+    EXPECT_EQ(session.slab().capacity_bytes(), cap);
+    EXPECT_EQ(session.slab().high_water_bytes(), cap);
   }
-  const std::size_t cap = session.slab().capacity_bytes();
-  EXPECT_EQ(cap, session.slab().high_water_bytes());
-  auto allocs_of = [&](const Tensor<std::int32_t>& in) {
-    const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
-    session.run(in, &logits);
-    return g_allocs.load(std::memory_order_relaxed) - before;
-  };
-  for (const auto& in : inputs) {
-    const std::int64_t first = allocs_of(in);
-    EXPECT_EQ(first, allocs_of(in));
-  }
-  EXPECT_EQ(session.slab().capacity_bytes(), cap);
-  EXPECT_EQ(session.slab().high_water_bytes(), cap);
 }
 
 TEST(Session, BucketedValidateSampleRejectsBadShapes) {

@@ -6,7 +6,7 @@
 //   apnn_cli model alexnet|vgg|resnet18 [--scheme fp32|fp16|int8|bnn|wXaY]
 //                                   [--batch N] [--device ...] [--no-fuse]
 //   apnn_cli serve mini_resnet|vgg_lite [--scheme wXaY] [--replicas N]
-//                                   [--slice-threads T] [--pin] [--clients N]
+//                                   [--slice-threads T] [--clients N]
 //                                   [--requests N] [--max-batch B]
 //                                   [--deadline-ms D] [--fault site:n[:mod]]
 //   apnn_cli export mini_resnet|vgg_lite|tiny_transformer <out.apnn> ...
@@ -51,7 +51,6 @@ struct Args {
   // serve
   int replicas = 0;       // 0 = derive jointly with slice_threads
   int slice_threads = 0;  // per-replica pool width; 0 = derive
-  bool pin = false;       // pin replica slices to CPUs
   int clients = 8;
   int requests = 64;
   std::int64_t deadline_ms = 0;           // 0 = no per-request deadline
@@ -86,8 +85,6 @@ Args parse(int argc, char** argv) {
       a.replicas = std::atoi(next("--replicas").c_str());
     } else if (s == "--slice-threads") {
       a.slice_threads = std::atoi(next("--slice-threads").c_str());
-    } else if (s == "--pin") {
-      a.pin = true;
     } else if (s == "--clients") {
       a.clients = std::atoi(next("--clients").c_str());
     } else if (s == "--requests") {
@@ -271,7 +268,7 @@ int cmd_serve(const Args& a) {
   if (a.positional.size() != 2) {
     std::fprintf(stderr,
                  "usage: apnn_cli serve mini_resnet|vgg_lite [--scheme wXaY] "
-                 "[--replicas N] [--slice-threads T] [--pin] [--clients N] "
+                 "[--replicas N] [--slice-threads T] [--clients N] "
                  "[--requests N] [--max-batch B] "
                  "[--deadline-ms D] "
                  "[--fault site:n[:xR|:delay=Dms]] [--device ...]\n");
@@ -313,7 +310,6 @@ int cmd_serve(const Args& a) {
   opts.max_batch = a.batch;
   opts.replicas = a.replicas;
   opts.slice_threads = a.slice_threads;
-  opts.pin_threads = a.pin;
 
   nn::ApnnNetwork net = nn::ApnnNetwork::random(spec, p, q, 42);
   Rng rng(43);
@@ -353,10 +349,10 @@ int cmd_serve(const Args& a) {
   WallTimer start_timer;
   nn::InferenceServer server(net, dev, opts);
   const double start_ms = start_timer.millis();
-  std::printf("%s w%da%d on %s: %d replicas x %d-wide slices%s up in "
+  std::printf("%s w%da%d on %s: %d replicas x %d-wide slices up in "
               "%.1f ms\n",
               spec.name.c_str(), p, q, dev.name.c_str(), server.replicas(),
-              server.slice_threads(), a.pin ? " (pinned)" : "", start_ms);
+              server.slice_threads(), start_ms);
 
   bench::LoadOptions lopts;
   lopts.deadline = std::chrono::milliseconds(a.deadline_ms);
@@ -605,7 +601,7 @@ int main(int argc, char** argv) {
                  "fp16|int8|bnn] [--batch N] [--no-fuse]\n"
                  "  serve mini_resnet|vgg_lite [--scheme wXaY] [--replicas N]"
                  " [--clients N]\n"
-                 "        [--slice-threads T] [--pin] [--requests N] "
+                 "        [--slice-threads T] [--requests N] "
                  "[--max-batch B]\n"
                  "        [--deadline-ms D] "
                  "[--fault site:n[:xR|:delay=Dms]]\n"
