@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -300,6 +301,7 @@ int main(int argc, char** argv) {
                "  \"gemm_m\": %lld,\n  \"gemm_n\": %lld,\n  \"gemm_k\": %lld,\n"
                "  \"tile_bm\": %d,\n  \"tile_bn\": %d,\n"
                "  \"reps\": %d,\n"
+               "  \"hardware_threads\": %u,\n"
                "  \"bit_exact\": true,\n"
                "  \"materialized_ms\": %.3f,\n"
                "  \"fused_ms\": %.3f,\n"
@@ -314,7 +316,7 @@ int main(int argc, char** argv) {
                static_cast<long long>(g.gemm_m()),
                static_cast<long long>(g.gemm_n()),
                static_cast<long long>(g.gemm_k()), tile.bm, tile.bn, reps,
-               mat_ms, fused_ms, mat_gops, fused_gops, speedup);
+               std::max(1u, std::thread::hardware_concurrency()), mat_ms, fused_ms, mat_gops, fused_gops, speedup);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

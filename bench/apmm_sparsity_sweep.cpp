@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -201,10 +202,11 @@ int main(int argc, char** argv) {
                "  \"bench\": \"apmm_sparsity_sweep\",\n"
                "  \"m\": %lld,\n  \"n\": %lld,\n  \"k\": %lld,\n"
                "  \"reps\": %d,\n"
+               "  \"hardware_threads\": %u,\n"
                "  \"bit_exact\": %s,\n",
                static_cast<long long>(size), static_cast<long long>(size),
                static_cast<long long>(size), reps,
-               bit_exact ? "true" : "false");
+               std::max(1u, std::thread::hardware_concurrency()), bit_exact ? "true" : "false");
   for (std::size_t si = 0; si < nschemes; ++si) {
     for (std::size_t pi = 0; pi < npoints; ++pi) {
       // Only the acceptance points carry ceiling-gated *_ms keys; the

@@ -389,6 +389,7 @@ int main(int argc, char** argv) {
                "  \"workload\": \"tiny_transformer_w1a2_buckets\",\n"
                "  \"buckets\": %zu,\n"
                "  \"reps\": %d,\n"
+               "  \"hardware_threads\": %u,\n"
                "  \"bit_exact\": %s,\n"
                "  \"hand_seq32_millis\": %.3f,\n"
                "  \"session_seq32_millis\": %.3f,\n"
@@ -405,9 +406,10 @@ int main(int argc, char** argv) {
                "  \"serve_max_batch\": %lld,\n"
                "  \"serve_rps\": %.1f\n"
                "}\n",
-               spec.seq_buckets.size(), reps, "true", hand_small_ms,
-               sess_small_ms, hand_large_ms, sess_large_ms, speedup_small,
-               speedup_large, speedup, session.plan_count(),
+               spec.seq_buckets.size(), reps,
+               std::max(1u, std::thread::hardware_concurrency()), "true",
+               hand_small_ms, sess_small_ms, hand_large_ms, sess_large_ms,
+               speedup_small, speedup_large, speedup, session.plan_count(),
                session.slot_count(), slab_bytes,
                static_cast<long long>(stats.requests),
                static_cast<long long>(stats.batches),

@@ -253,6 +253,7 @@ int main(int argc, char** argv) {
                "  \"workload\": \"two_model_gateway_loopback_tcp\",\n"
                "  \"requests_per_model\": %d,\n"
                "  \"clients_per_model\": %d,\n"
+               "  \"hardware_threads\": %u,\n"
                "  \"bit_exact\": true,\n"
                "  \"reload_drill_drops\": 0,\n"
                "  \"gateway_rps\": %.1f,\n"
@@ -262,7 +263,9 @@ int main(int argc, char** argv) {
                "  \"model1_p50_millis\": %.3f,\n"
                "  \"model1_p99_millis\": %.3f\n"
                "}\n",
-               requests, clients, gateway_rps, wall_ms,
+               requests, clients,
+               std::max(1u, std::thread::hardware_concurrency()), gateway_rps,
+               wall_ms,
                quantile_ms(results[0].latency_ms, 0.50),
                quantile_ms(results[0].latency_ms, 0.99),
                quantile_ms(results[1].latency_ms, 0.50),

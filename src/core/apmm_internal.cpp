@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <optional>
 
 #include "src/core/microkernel.hpp"
 #include "src/layout/im2col.hpp"
@@ -395,35 +394,30 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
                      : nullptr;
     }
 
-    // The feature panels come from the staging source: a row-pointer table
-    // over contiguous planes, or the im2col-free window gather that
-    // assembles each k-strip straight from the packed feature map.
-    const std::uint64_t** xrows = nullptr;
-    std::optional<layout::WindowGatherSource> gather;
-    std::optional<microkernel::RowPointerSource> pointer;
+    // Raw popc accumulation over all k-strips ("fragment" storage), then the
+    // staged cache-blocked microkernel sweep. The feature panels come from
+    // a row-pointer table over contiguous planes (occupancy staging per
+    // g.micro), or from the im2col-free window gather that assembles each
+    // k-strip straight from the packed feature map (always dense).
+    std::int32_t* raw = arena.get<std::int32_t>(g.vtm8 * g.vtn8);
+    std::fill_n(raw, g.vtm8 * g.vtn8, 0);
     if (x.window_gather()) {
-      gather.emplace(*x.fmap, *x.conv, x.pad_one, x.pool_win, n0, g.vtn8,
-                     g.vtn);
+      const layout::WindowGatherSource gather(*x.fmap, *x.conv, x.pad_one,
+                                              x.pool_win, n0, g.vtn8, g.vtn);
+      microkernel::block_bitgemm(sel.bit_op, wrows, g.vtm8, gather,
+                                 g.row_words, raw, arena, g.sparsity);
     } else {
-      xrows = arena.get<const std::uint64_t*>(g.vtn8);
+      const std::uint64_t** xrows = arena.get<const std::uint64_t*>(g.vtn8);
       for (std::int64_t j = 0; j < g.vtn8; ++j) {
         const std::int64_t n = n0 + j / g.q;
         xrows[j] = (j < g.vtn && n < g.n)
                        ? x.planes->plane(static_cast<int>(j % g.q)).row(n)
                        : nullptr;
       }
-      pointer.emplace(xrows, g.vtn8);
+      microkernel::block_bitgemm(sel.bit_op, wrows, g.vtm8, xrows, g.vtn8,
+                                 g.row_words, raw, arena, g.micro,
+                                 g.sparsity);
     }
-    const microkernel::PanelSource& bsrc =
-        gather ? static_cast<const microkernel::PanelSource&>(*gather)
-               : *pointer;
-
-    // Raw popc accumulation over all k-strips ("fragment" storage), then the
-    // staged cache-blocked microkernel sweep.
-    std::int32_t* raw = arena.get<std::int32_t>(g.vtm8 * g.vtn8);
-    std::fill_n(raw, g.vtm8 * g.vtn8, 0);
-    microkernel::block_bitgemm(sel.bit_op, wrows, g.vtm8, bsrc, g.row_words,
-                               raw, arena, g.micro, g.sparsity);
 
     // Block epilogue, the host analogue of the in-SHMEM plane reduction
     // followed by the in-register epilogue: one combined output row at a

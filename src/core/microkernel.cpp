@@ -8,6 +8,59 @@
 
 namespace apnn::core::microkernel {
 
+namespace {
+
+/// Words of occupancy bitmap per staged row: one bit per staged 64-bit
+/// word, packed into uint64 mask words.
+constexpr std::int64_t occ_words(std::int64_t words) {
+  return (words + 63) / 64;
+}
+
+/// Occupancy mask of up to 64 consecutive words: bit w set iff src[w] != 0.
+/// A word-at-a-time compare-shift-or chain is slow enough to cost dense
+/// workloads several percent at staging time; the SIMD forms test 8 (or 4)
+/// words per issue, keeping the occupancy build within memcpy noise.
+inline std::uint64_t occ_scan(const std::uint64_t* src, std::int64_t words) {
+  std::uint64_t m = 0;
+  std::int64_t w = 0;
+#if defined(__AVX512BW__)
+  for (; w + 8 <= words; w += 8) {
+    const __m512i v = _mm512_loadu_si512(src + w);
+    m |= static_cast<std::uint64_t>(_mm512_test_epi64_mask(v, v)) << w;
+  }
+#elif defined(__AVX2__)
+  const __m256i zero = _mm256_setzero_si256();
+  for (; w + 4 <= words; w += 4) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
+    const unsigned z = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, zero))));
+    m |= static_cast<std::uint64_t>(~z & 0xfu) << w;
+  }
+#endif
+  for (; w < words; ++w) {
+    m |= static_cast<std::uint64_t>(src[w] != 0) << w;
+  }
+  return m;
+}
+
+/// Fills the occupancy words of one row from its contiguous staged (or
+/// source) form; returns how many of `words` are zero.
+inline std::int64_t occ_scan_row(const std::uint64_t* src, std::int64_t words,
+                                 std::uint64_t* oc) {
+  std::int64_t zeros = 0;
+  for (std::int64_t c = 0; c * 64 < words; ++c) {
+    const std::int64_t n = std::min<std::int64_t>(64, words - c * 64);
+    oc[c] = occ_scan(src + c * 64, n);
+    zeros += n - __builtin_popcountll(oc[c]);
+  }
+  return zeros;
+}
+
+/// Copies words [w0, w0 + words) of each row into a contiguous panel
+/// (row i at panel + i * words). A nullptr row stands for virtual zero
+/// padding (out-of-range rows of the plane-interleaved tile) and stages as
+/// zeros, so the microkernel never branches on row validity.
 void stage_panel(const std::uint64_t* const* rows, std::int64_t nrows,
                  std::int64_t w0, std::int64_t words, std::uint64_t* panel) {
   for (std::int64_t i = 0; i < nrows; ++i) {
@@ -22,6 +75,10 @@ void stage_panel(const std::uint64_t* const* rows, std::int64_t nrows,
   }
 }
 
+/// Word-interleaved variant: panel[w * nrows + j] = rows[j][w0 + w]. The
+/// SIMD row-block kernels stage B this way so one vector load spans word w
+/// of several consecutive output columns and psadbw lanes align with
+/// columns (no per-element horizontal reduction).
 void stage_panel_transposed(const std::uint64_t* const* rows,
                             std::int64_t nrows, std::int64_t w0,
                             std::int64_t words, std::uint64_t* panel) {
@@ -39,19 +96,10 @@ void stage_panel_transposed(const std::uint64_t* const* rows,
   }
 }
 
-void PanelSource::stage_transposed(std::int64_t w0, std::int64_t words,
-                                   std::uint64_t* panel,
-                                   std::uint64_t* scratch) const {
-  const std::int64_t n = rows();
-  stage(w0, words, scratch);
-  for (std::int64_t j = 0; j < n; ++j) {
-    const std::uint64_t* src = scratch + j * words;
-    for (std::int64_t w = 0; w < words; ++w) {
-      panel[w * n + j] = src[w];
-    }
-  }
-}
-
+/// stage_panel + zero-word occupancy map: bit (w % 64) of
+/// occ[i * occ_words(words) + w / 64] is set iff row i's staged word w is
+/// NONZERO; mask bits past `words` stay clear. Returns the number of
+/// all-zero staged words (the density-gate input).
 std::int64_t stage_panel_occ(const std::uint64_t* const* rows,
                              std::int64_t nrows, std::int64_t w0,
                              std::int64_t words, std::uint64_t* panel,
@@ -76,6 +124,8 @@ std::int64_t stage_panel_occ(const std::uint64_t* const* rows,
   return zeros;
 }
 
+/// stage_panel_transposed + the same occupancy map (occ stays row-indexed
+/// even though the panel is word-interleaved).
 std::int64_t stage_panel_transposed_occ(const std::uint64_t* const* rows,
                                         std::int64_t nrows, std::int64_t w0,
                                         std::int64_t words,
@@ -100,38 +150,6 @@ std::int64_t stage_panel_transposed_occ(const std::uint64_t* const* rows,
   }
   return zeros;
 }
-
-std::int64_t PanelSource::stage_occ(std::int64_t w0, std::int64_t words,
-                                    std::uint64_t* panel,
-                                    std::uint64_t* occ) const {
-  const std::int64_t n = rows();
-  stage(w0, words, panel);
-  const std::int64_t mw = occ_words(words);
-  std::int64_t zeros = 0;
-  for (std::int64_t j = 0; j < n; ++j) {
-    zeros += occ_scan_row(panel + j * words, words, occ + j * mw);
-  }
-  return zeros;
-}
-
-std::int64_t PanelSource::stage_transposed_occ(std::int64_t w0,
-                                               std::int64_t words,
-                                               std::uint64_t* panel,
-                                               std::uint64_t* scratch,
-                                               std::uint64_t* occ) const {
-  const std::int64_t n = rows();
-  // The default stage_transposed writes the row-major copy into `scratch`
-  // before interleaving, so the occupancy scan reads contiguous rows.
-  stage_transposed(w0, words, panel, scratch);
-  const std::int64_t mw = occ_words(words);
-  std::int64_t zeros = 0;
-  for (std::int64_t j = 0; j < n; ++j) {
-    zeros += occ_scan_row(scratch + j * words, words, occ + j * mw);
-  }
-  return zeros;
-}
-
-namespace {
 
 #if defined(__AVX512BW__)
 
@@ -400,10 +418,9 @@ constexpr std::int64_t kColBlock = 8;
 constexpr double kSparseZeroGate = 0.34;
 
 // kAuto occupancy-sampling floor on the smaller panel dimension: a full
-// default tile block on both sides. Skinnier blocks (small-channel conv
-// weight panels, classifier heads) spend comparably on the O(rows8+cols8)
-// scan and bookkeeping as on the strip's popcount sweep, so sampling them
-// can never pay for itself there.
+// default tile block on both sides. Skinnier blocks (classifier heads)
+// spend comparably on the O(rows8+cols8) scan and bookkeeping as on the
+// strip's popcount sweep, so sampling them can never pay for itself there.
 constexpr std::int64_t kSparseMinDim = 64;
 
 // OR-combine each group of `group` consecutive occupancy rows into one mask
@@ -420,12 +437,15 @@ void build_group_occ(const std::uint64_t* occ, std::int64_t nrows,
   }
 }
 
+// B is either a row-pointer table (b_rows) or a panel source (b_src, which
+// always stages dense): occupancy staging exists for row tables only.
 template <tcsim::BitOp Op>
 void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
-                        const PanelSource& b, std::int64_t row_words,
-                        std::int32_t* acc, parallel::ScratchArena& arena,
+                        const std::uint64_t* const* b_rows,
+                        const PanelSource* b_src, std::int64_t cols8,
+                        std::int64_t row_words, std::int32_t* acc,
+                        parallel::ScratchArena& arena,
                         const MicroConfig& micro, SparsityStats* stats) {
-  const std::int64_t cols8 = b.rows();
   const std::int64_t strip = std::min<std::int64_t>(kStripWords, row_words);
   // kAuto adaptivity: occupancy staging costs a few percent over memcpy
   // staging, so once a strip measures hopelessly dense (under half the gate
@@ -433,19 +453,16 @@ void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
   // Every call re-samples from its first strip, so a stage whose inputs
   // turn sparse regains the fast path on the next kernel invocation.
   // kAuto only samples blocks at least kSparseMinDim on both panel sides;
-  // skinnier blocks stage dense outright. kOn still forces occupancy
-  // everywhere.
-  bool build_occ = micro.sparse_staging == MicroConfig::Sparse::kOn ||
-                   (micro.sparse_staging == MicroConfig::Sparse::kAuto &&
-                    std::min(rows8, cols8) >= kSparseMinDim);
+  // skinnier blocks stage dense outright. kOn still forces occupancy on
+  // every row-table block.
+  bool build_occ =
+      b_rows != nullptr &&
+      (micro.sparse_staging == MicroConfig::Sparse::kOn ||
+       (micro.sparse_staging == MicroConfig::Sparse::kAuto &&
+        std::min(rows8, cols8) >= kSparseMinDim));
   const std::int64_t mw = build_occ ? occ_words(strip) : 0;
   std::uint64_t* a_panel = arena.get<std::uint64_t>(rows8 * strip);
   std::uint64_t* b_panel = arena.get<std::uint64_t>(cols8 * strip);
-  // SIMD builds stage B word-interleaved for the row-block kernel; scalar
-  // builds stage it row-major for the 8x8 tile kernel.
-  std::uint64_t* b_scratch = kHasRowBlockKernel && !b.direct_transpose()
-                                 ? arena.get<std::uint64_t>(cols8 * strip)
-                                 : nullptr;
   // Occupancy buffers live alongside the panels: allocated once up front so
   // the per-strip loop stays free of arena growth (bump allocator).
   std::uint64_t* occ_a = nullptr;
@@ -488,18 +505,25 @@ void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
     } else {
       stage_panel(a_rows, rows8, w0, wc, a_panel);
     }
+    // SIMD builds stage B word-interleaved for the row-block kernel; scalar
+    // builds stage it row-major for the 8x8 tile kernel.
     std::int64_t zero_b = 0;
     if constexpr (kHasRowBlockKernel) {
       if (build_occ) {
-        zero_b = b.stage_transposed_occ(w0, wc, b_panel, b_scratch, occ_b);
+        zero_b = stage_panel_transposed_occ(b_rows, cols8, w0, wc, b_panel,
+                                            occ_b);
+      } else if (b_rows != nullptr) {
+        stage_panel_transposed(b_rows, cols8, w0, wc, b_panel);
       } else {
-        b.stage_transposed(w0, wc, b_panel, b_scratch);
+        b_src->stage_transposed(w0, wc, b_panel);
       }
     } else {
       if (build_occ) {
-        zero_b = b.stage_occ(w0, wc, b_panel, occ_b);
+        zero_b = stage_panel_occ(b_rows, cols8, w0, wc, b_panel, occ_b);
+      } else if (b_rows != nullptr) {
+        stage_panel(b_rows, cols8, w0, wc, b_panel);
       } else {
-        b.stage(w0, wc, b_panel);
+        b_src->stage(w0, wc, b_panel);
       }
     }
     bool use_sparse = false;
@@ -566,32 +590,45 @@ void block_bitgemm_impl(const std::uint64_t* const* a_rows, std::int64_t rows8,
   }
 }
 
-}  // namespace
-
-void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
-                   std::int64_t rows8, const PanelSource& b,
-                   std::int64_t row_words, std::int32_t* acc,
-                   parallel::ScratchArena& arena, const MicroConfig& micro,
-                   SparsityStats* stats) {
-  APNN_DCHECK(rows8 % 8 == 0 && b.rows() % 8 == 0)
-      << "tile dims must be multiples of 8: " << rows8 << "x" << b.rows();
-  if (rows8 == 0 || b.rows() == 0 || row_words == 0) return;
+void block_bitgemm_dispatch(tcsim::BitOp op,
+                            const std::uint64_t* const* a_rows,
+                            std::int64_t rows8,
+                            const std::uint64_t* const* b_rows,
+                            const PanelSource* b_src, std::int64_t cols8,
+                            std::int64_t row_words, std::int32_t* acc,
+                            parallel::ScratchArena& arena,
+                            const MicroConfig& micro, SparsityStats* stats) {
+  APNN_DCHECK(rows8 % 8 == 0 && cols8 % 8 == 0)
+      << "tile dims must be multiples of 8: " << rows8 << "x" << cols8;
+  if (rows8 == 0 || cols8 == 0 || row_words == 0) return;
   if (op == tcsim::BitOp::kXor) {
-    block_bitgemm_impl<tcsim::BitOp::kXor>(a_rows, rows8, b, row_words, acc,
-                                           arena, micro, stats);
+    block_bitgemm_impl<tcsim::BitOp::kXor>(a_rows, rows8, b_rows, b_src,
+                                           cols8, row_words, acc, arena,
+                                           micro, stats);
   } else {
-    block_bitgemm_impl<tcsim::BitOp::kAnd>(a_rows, rows8, b, row_words, acc,
-                                           arena, micro, stats);
+    block_bitgemm_impl<tcsim::BitOp::kAnd>(a_rows, rows8, b_rows, b_src,
+                                           cols8, row_words, acc, arena,
+                                           micro, stats);
   }
 }
+
+}  // namespace
 
 void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
                    std::int64_t rows8, const std::uint64_t* const* b_rows,
                    std::int64_t cols8, std::int64_t row_words,
                    std::int32_t* acc, parallel::ScratchArena& arena,
                    const MicroConfig& micro, SparsityStats* stats) {
-  block_bitgemm(op, a_rows, rows8, RowPointerSource(b_rows, cols8), row_words,
-                acc, arena, micro, stats);
+  block_bitgemm_dispatch(op, a_rows, rows8, b_rows, nullptr, cols8,
+                         row_words, acc, arena, micro, stats);
+}
+
+void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
+                   std::int64_t rows8, const PanelSource& b,
+                   std::int64_t row_words, std::int32_t* acc,
+                   parallel::ScratchArena& arena, SparsityStats* stats) {
+  block_bitgemm_dispatch(op, a_rows, rows8, nullptr, &b, b.rows(), row_words,
+                         acc, arena, {}, stats);
 }
 
 }  // namespace apnn::core::microkernel

@@ -366,7 +366,10 @@ struct MicroConfig {
   /// Data-sparsity fast path: zero-word occupancy maps built while panels
   /// stage, consulted by skip-zero popcount kernels. Bit-exact for every
   /// setting — a skipped word contributes exactly zero to the accumulator
-  /// (AND: either operand word zero; XOR: both zero).
+  /// (AND: either operand word zero; XOR: both zero). Occupancy staging
+  /// applies to row-pointer (APMM) operands only; window-gathered conv
+  /// panels always stage dense. kOff also turns off the combine layer's
+  /// all-zero bit-plane elision, for both.
   enum class Sparse {
     kAuto,  ///< build occupancy maps; per strip, engage the skip kernels
             ///< only when the staged zero-word share clears the density
@@ -409,92 +412,11 @@ struct SparsityStats {
   }
 };
 
-/// Copies words [w0, w0 + words) of each row into a contiguous panel
-/// (row i at panel + i * words). A nullptr row stands for virtual zero
-/// padding (out-of-range rows of the plane-interleaved tile) and stages as
-/// zeros, so the microkernel never branches on row validity.
-void stage_panel(const std::uint64_t* const* rows, std::int64_t nrows,
-                 std::int64_t w0, std::int64_t words, std::uint64_t* panel);
-
-/// Word-interleaved variant: panel[w * nrows + j] = rows[j][w0 + w]. The
-/// SIMD row-block kernels stage B this way so one vector load spans word w
-/// of several consecutive output columns and psadbw lanes align with
-/// columns (no per-element horizontal reduction).
-void stage_panel_transposed(const std::uint64_t* const* rows,
-                            std::int64_t nrows, std::int64_t w0,
-                            std::int64_t words, std::uint64_t* panel);
-
-/// Words of occupancy bitmap per staged row: one bit per staged 64-bit
-/// word, packed into uint64 mask words.
-constexpr std::int64_t occ_words(std::int64_t words) {
-  return (words + 63) / 64;
-}
-
-/// Occupancy mask of up to 64 consecutive words: bit w set iff src[w] != 0.
-/// A word-at-a-time compare-shift-or chain is slow enough to cost dense
-/// workloads several percent at staging time; the SIMD forms test 8 (or 4)
-/// words per issue, keeping the occupancy build within memcpy noise.
-inline std::uint64_t occ_scan(const std::uint64_t* src, std::int64_t words) {
-  std::uint64_t m = 0;
-  std::int64_t w = 0;
-#if defined(__AVX512BW__)
-  for (; w + 8 <= words; w += 8) {
-    const __m512i v = _mm512_loadu_si512(src + w);
-    m |= static_cast<std::uint64_t>(_mm512_test_epi64_mask(v, v)) << w;
-  }
-#elif defined(__AVX2__)
-  const __m256i zero = _mm256_setzero_si256();
-  for (; w + 4 <= words; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    const unsigned z = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, zero))));
-    m |= static_cast<std::uint64_t>(~z & 0xfu) << w;
-  }
-#endif
-  for (; w < words; ++w) {
-    m |= static_cast<std::uint64_t>(src[w] != 0) << w;
-  }
-  return m;
-}
-
-/// Fills the occupancy words of one row from its contiguous staged (or
-/// source) form; returns how many of `words` are zero.
-inline std::int64_t occ_scan_row(const std::uint64_t* src, std::int64_t words,
-                                 std::uint64_t* oc) {
-  std::int64_t zeros = 0;
-  for (std::int64_t c = 0; c * 64 < words; ++c) {
-    const std::int64_t n = std::min<std::int64_t>(64, words - c * 64);
-    oc[c] = occ_scan(src + c * 64, n);
-    zeros += n - __builtin_popcountll(oc[c]);
-  }
-  return zeros;
-}
-
-/// stage_panel + zero-word occupancy map: bit (w % 64) of
-/// occ[i * occ_words(words) + w / 64] is set iff row i's staged word w is
-/// NONZERO; mask bits past `words` stay clear. Returns the number of
-/// all-zero staged words (the density-gate input).
-std::int64_t stage_panel_occ(const std::uint64_t* const* rows,
-                             std::int64_t nrows, std::int64_t w0,
-                             std::int64_t words, std::uint64_t* panel,
-                             std::uint64_t* occ);
-
-/// stage_panel_transposed + the same occupancy map (occ stays row-indexed
-/// even though the panel is word-interleaved).
-std::int64_t stage_panel_transposed_occ(const std::uint64_t* const* rows,
-                                        std::int64_t nrows, std::int64_t w0,
-                                        std::int64_t words,
-                                        std::uint64_t* panel,
-                                        std::uint64_t* occ);
-
-/// Where block_bitgemm's B-panel k-strips come from. The staging pass is
-/// the only place the microkernel touches operand storage, so abstracting
-/// it lets the same GEMM sweep run over operands that are never
-/// materialized as row-major matrices: RowPointerSource wraps precomputed
-/// row-pointer tables (contiguous BitPlanes — the APMM case), and
-/// layout::WindowGatherSource assembles convolution patch rows on the fly
-/// from the packed feature-map planes (im2col-free APConv, §4.2).
+/// Where block_bitgemm's B-panel k-strips come from when B is not a
+/// row-pointer table: layout::WindowGatherSource assembles convolution
+/// patch rows on the fly from the packed feature-map planes (im2col-free
+/// APConv, §4.2), so the patch matrix is never materialized. Such sources
+/// stage dense; occupancy staging is a property of row-pointer operands.
 class PanelSource {
  public:
   virtual ~PanelSource() = default;
@@ -508,91 +430,35 @@ class PanelSource {
   virtual void stage(std::int64_t w0, std::int64_t words,
                      std::uint64_t* panel) const = 0;
 
-  /// Word-interleaved staging: panel[w * rows() + j] = row j's word w0 + w.
-  /// The default assembles row-major into `scratch` (rows() * words words,
-  /// provided by the caller) and interleaves; sources with contiguous rows
-  /// override and ignore `scratch`.
+  /// Word-interleaved staging: panel[w * rows() + j] = row j's word w0 + w,
+  /// for words <= kStripWords.
   virtual void stage_transposed(std::int64_t w0, std::int64_t words,
-                                std::uint64_t* panel,
-                                std::uint64_t* scratch) const;
-
-  /// Occupancy-building variants (see stage_panel_occ): same panels as
-  /// stage()/stage_transposed() plus the per-row zero-word bitmap, returning
-  /// the all-zero staged word count. The defaults stage densely and then
-  /// scan the panel; sources that copy word-by-word override and fold the
-  /// occupancy test into the copy (one compare per word already in
-  /// registers).
-  virtual std::int64_t stage_occ(std::int64_t w0, std::int64_t words,
-                                 std::uint64_t* panel,
-                                 std::uint64_t* occ) const;
-  virtual std::int64_t stage_transposed_occ(std::int64_t w0,
-                                            std::int64_t words,
-                                            std::uint64_t* panel,
-                                            std::uint64_t* scratch,
-                                            std::uint64_t* occ) const;
-
-  /// True when stage_transposed never touches `scratch` (the caller then
-  /// skips allocating it).
-  virtual bool direct_transpose() const { return false; }
-};
-
-/// PanelSource over a plane-interleaved row-pointer table (nullptr = zero
-/// row): the staging scheme of the contiguous-operand (APMM) path.
-class RowPointerSource final : public PanelSource {
- public:
-  RowPointerSource(const std::uint64_t* const* rows, std::int64_t nrows)
-      : rows_(rows), nrows_(nrows) {}
-
-  std::int64_t rows() const override { return nrows_; }
-  void stage(std::int64_t w0, std::int64_t words,
-             std::uint64_t* panel) const override {
-    stage_panel(rows_, nrows_, w0, words, panel);
-  }
-  void stage_transposed(std::int64_t w0, std::int64_t words,
-                        std::uint64_t* panel,
-                        std::uint64_t* /*scratch*/) const override {
-    stage_panel_transposed(rows_, nrows_, w0, words, panel);
-  }
-  std::int64_t stage_occ(std::int64_t w0, std::int64_t words,
-                         std::uint64_t* panel,
-                         std::uint64_t* occ) const override {
-    return stage_panel_occ(rows_, nrows_, w0, words, panel, occ);
-  }
-  std::int64_t stage_transposed_occ(std::int64_t w0, std::int64_t words,
-                                    std::uint64_t* panel,
-                                    std::uint64_t* /*scratch*/,
-                                    std::uint64_t* occ) const override {
-    return stage_panel_transposed_occ(rows_, nrows_, w0, words, panel, occ);
-  }
-  bool direct_transpose() const override { return true; }
-
- private:
-  const std::uint64_t* const* rows_;
-  std::int64_t nrows_;
+                                std::uint64_t* panel) const = 0;
 };
 
 /// Block-level driver: for a block's plane-interleaved A row-pointer table
-/// (rows8 entries, a multiple of 8; nullptr = zero row) and B panel source
-/// (rows() a multiple of 8), accumulates
-///   acc[i * b.rows() + j] += sum_{w < row_words} popc(op(a_i[w], b_j[w]))
+/// (rows8 entries, a multiple of 8; nullptr = zero row) and a B
+/// plane-interleaved row-pointer table (cols8 entries, likewise), accumulates
+///   acc[i * cols8 + j] += sum_{w < row_words} popc(op(a_i[w], b_j[w]))
 /// walking k in kStripWords strips, staging each strip once, and invoking
 /// the build's inner kernel per output tile. All temporaries come from
 /// `arena` (valid until the caller's next reset()). The result is
-/// bit-identical for every MicroConfig — the knob only moves bytes. `stats`, when given, receives this call's locally summed sparsity
+/// bit-identical for every MicroConfig — the knob only moves bytes.
+/// `stats`, when given, receives this call's locally summed sparsity
 /// counters (one atomic add per counter per call).
-void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
-                   std::int64_t rows8, const PanelSource& b,
-                   std::int64_t row_words, std::int32_t* acc,
-                   parallel::ScratchArena& arena,
-                   const MicroConfig& micro = {},
-                   SparsityStats* stats = nullptr);
-
-/// Row-pointer-table convenience overload (wraps RowPointerSource).
 void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
                    std::int64_t rows8, const std::uint64_t* const* b_rows,
                    std::int64_t cols8, std::int64_t row_words,
                    std::int32_t* acc, parallel::ScratchArena& arena,
                    const MicroConfig& micro = {},
+                   SparsityStats* stats = nullptr);
+
+/// The same sweep with B staged densely from a panel source (b.rows() a
+/// multiple of 8); `stats` counts its strips as dense.
+void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
+                   std::int64_t rows8, const PanelSource& b,
+                   std::int64_t row_words, std::int32_t* acc,
+                   parallel::ScratchArena& arena,
                    SparsityStats* stats = nullptr);
 
 }  // namespace apnn::core::microkernel

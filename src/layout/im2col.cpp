@@ -149,10 +149,7 @@ void WindowGatherSource::stage(std::int64_t w0, std::int64_t words,
 }
 
 void WindowGatherSource::stage_transposed(std::int64_t w0, std::int64_t words,
-                                          std::uint64_t* panel,
-                                          std::uint64_t* /*scratch*/) const {
-  // Kept as the straight-line dense gather: this is the fused-conv hot path
-  // and must not pay for the occupancy plumbing of the _occ variant below.
+                                          std::uint64_t* panel) const {
   const int q = x_->bits;
   std::uint64_t row_buf[core::microkernel::kStripWords];
   APNN_DCHECK(words <= core::microkernel::kStripWords);
@@ -168,45 +165,6 @@ void WindowGatherSource::stage_transposed(std::int64_t w0, std::int64_t words,
       panel[w * nrows8_ + j] = row_buf[w];
     }
   }
-}
-
-std::int64_t WindowGatherSource::stage_transposed_occ(
-    std::int64_t w0, std::int64_t words, std::uint64_t* panel,
-    std::uint64_t* /*scratch*/, std::uint64_t* occ) const {
-  const int q = x_->bits;
-  const std::int64_t mw = core::microkernel::occ_words(words);
-  std::memset(occ, 0, static_cast<std::size_t>(nrows8_ * mw) * sizeof(*occ));
-  // The gather buffer is a fixed stack array; strips wider than kStripWords
-  // (direct callers) are processed in kStripWords-sized sub-chunks rather
-  // than overrunning it.
-  std::uint64_t row_buf[core::microkernel::kStripWords];
-  for (std::int64_t c0 = 0; c0 < words; c0 += core::microkernel::kStripWords) {
-    const std::int64_t cw =
-        std::min(words - c0, core::microkernel::kStripWords);
-    for (std::int64_t j = 0; j < nrows8_; ++j) {
-      const std::int64_t col = col0_ + j / q;
-      if (j >= nvalid_ || col >= gemm_n_) {
-        for (std::int64_t w = 0; w < cw; ++w) panel[(c0 + w) * nrows8_ + j] = 0;
-        continue;
-      }
-      std::memset(row_buf, 0, static_cast<std::size_t>(cw) * sizeof(*row_buf));
-      gather_row(col, static_cast<int>(j % q), w0 + c0, cw, row_buf);
-      for (std::int64_t w = 0; w < cw; ++w) {
-        panel[(c0 + w) * nrows8_ + j] = row_buf[w];
-      }
-      // c0 is a kStripWords multiple and cw <= kStripWords <= 64, so the
-      // chunk's occupancy bits never straddle a third mask word.
-      const std::uint64_t m = core::microkernel::occ_scan(row_buf, cw);
-      std::uint64_t* oc = occ + j * mw;
-      oc[c0 >> 6] |= m << (c0 & 63);
-      if ((c0 & 63) + cw > 64) oc[(c0 >> 6) + 1] |= m >> (64 - (c0 & 63));
-    }
-  }
-  std::int64_t zeros = nrows8_ * words;
-  for (std::int64_t c = 0; c < nrows8_ * mw; ++c) {
-    zeros -= __builtin_popcountll(occ[c]);
-  }
-  return zeros;
 }
 
 }  // namespace apnn::layout

@@ -83,20 +83,11 @@ class WindowGatherSource final : public core::microkernel::PanelSource {
   std::int64_t rows() const override { return nrows8_; }
   void stage(std::int64_t w0, std::int64_t words,
              std::uint64_t* panel) const override;
-  /// Word-interleaved staging without the row-major scratch round trip:
-  /// each patch row is gathered into a strip-sized local buffer and
-  /// scattered straight into the interleaved panel.
+  /// Word-interleaved staging without a row-major round trip: each patch
+  /// row is gathered into a strip-sized local buffer and scattered straight
+  /// into the interleaved panel.
   void stage_transposed(std::int64_t w0, std::int64_t words,
-                        std::uint64_t* panel,
-                        std::uint64_t* scratch) const override;
-  /// Occupancy-building variant: the zero-word test is folded into the
-  /// scatter from the per-row gather buffer (no second pass over the
-  /// interleaved panel, which the base-class default would need).
-  std::int64_t stage_transposed_occ(std::int64_t w0, std::int64_t words,
-                                    std::uint64_t* panel,
-                                    std::uint64_t* scratch,
-                                    std::uint64_t* occ) const override;
-  bool direct_transpose() const override { return true; }
+                        std::uint64_t* panel) const override;
 
  private:
   /// Assembles bits [w0*64, w0*64 + words*64) of column `col`'s patch row

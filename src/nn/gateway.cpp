@@ -620,19 +620,6 @@ std::string Gateway::prometheus_text() const {
                   static_cast<long long>(m.stats.error_counts[k]));
     }
   }
-  metric_header(out, "apnn_model_degraded",
-                "1 while the queue is over the degrade high-water mark.",
-                "gauge");
-  for (const auto& m : models) {
-    out += strf("apnn_model_degraded{model=\"%s\"} %d\n", m.id.c_str(),
-                m.stats.degraded ? 1 : 0);
-  }
-  metric_header(out, "apnn_model_shed_total",
-                "Requests shed by drop-head degradation.", "counter");
-  for (const auto& m : models) {
-    out += strf("apnn_model_shed_total{model=\"%s\"} %lld\n", m.id.c_str(),
-                static_cast<long long>(m.stats.shed));
-  }
   metric_header(out, "apnn_model_replica_restarts_total",
                 "Replica self-healing restarts.", "counter");
   for (const auto& m : models) {

@@ -22,7 +22,7 @@ constexpr ErrorRow kErrorRows[] = {
     {WireError::kDeadlineExceeded, "DEADLINE_EXCEEDED", "kDeadlineExceeded",
      "the request's deadline passed before a replica dispatched it"},
     {WireError::kQueueFull, "QUEUE_FULL", "kQueueFull",
-     "admission control rejected or shed the request (queue at capacity)"},
+     "admission control rejected the request (queue at capacity)"},
     {WireError::kShuttingDown, "SHUTTING_DOWN", "kShuttingDown",
      "the model's server (or the gateway) is draining for shutdown"},
     {WireError::kInvalidSample, "INVALID_SAMPLE", "kInvalidSample",

@@ -31,11 +31,13 @@ std::int64_t parse_int(const std::string& v, int lineno, const char* key) {
   return x;
 }
 
-ServerOptions::Admission admission_for(const std::string& s) {
+/// `where` names the value's origin in the error ("config line 7").
+ServerOptions::Admission admission_for(const std::string& s,
+                                       const std::string& where) {
   if (s == "block") return ServerOptions::Admission::kBlock;
   if (s == "reject") return ServerOptions::Admission::kReject;
-  if (s == "degrade") return ServerOptions::Admission::kDegrade;
-  throw Error(strf("admission '%s' is not block|reject|degrade", s.c_str()));
+  throw Error(strf("%s: admission '%s' is not block|reject", where.c_str(),
+                   s.c_str()));
 }
 
 }  // namespace
@@ -124,7 +126,7 @@ GatewayConfig parse_gateway_config(const std::string& text) {
       APNN_CHECK(cur->max_queue >= 0)
           << "config line " << lineno << ": max_queue must be >= 0";
     } else if (key == "admission") {
-      admission_for(value);  // validate here, with the line number
+      admission_for(value, strf("config line %d", lineno));  // validate
       cur->admission = value;
     } else if (key == "batch_window_us") {
       cur->batch_window_us = parse_int(value, lineno, "batch_window_us");
@@ -200,7 +202,7 @@ std::shared_ptr<ModelRegistry::Entry> ModelRegistry::make_entry(
     opts.max_batch = c.max_batch;
     opts.batch_window = std::chrono::microseconds(c.batch_window_us);
     opts.max_queue = c.max_queue;
-    opts.admission = admission_for(c.admission);
+    opts.admission = admission_for(c.admission, "[model " + c.id + "]");
     opts.replicas = c.replicas;
     opts.slice_threads = c.slice_threads;
 

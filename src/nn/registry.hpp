@@ -44,7 +44,7 @@ struct ModelConfig {
   int replicas = 0;
   int slice_threads = 0;
   std::int64_t max_queue = 0;          ///< 0 = server default
-  std::string admission = "block";     ///< block | reject | degrade
+  std::string admission = "block";     ///< block | reject
   /// Micro-batch formation window.
   std::int64_t batch_window_us = ServerOptions{}.batch_window.count();
 };

@@ -82,11 +82,6 @@ InferenceServer::InferenceServer(const ApnnNetwork& net,
   if (opts_.max_queue <= 0) {
     opts_.max_queue = opts_.replicas * opts_.max_batch * 4;
   }
-  if (opts_.degrade_high_water <= 0) {
-    opts_.degrade_high_water = std::max<std::int64_t>(1, opts_.max_queue / 2);
-  }
-  opts_.degrade_high_water =
-      std::min(opts_.degrade_high_water, opts_.max_queue);
 
   stats_.replica_batches.assign(static_cast<std::size_t>(opts_.replicas), 0);
   stats_.replica_requests.assign(static_cast<std::size_t>(opts_.replicas), 0);
@@ -190,24 +185,6 @@ void InferenceServer::expire_queued_locked(
     done_cv_.notify_all();
     space_cv_.notify_all();
   }
-}
-
-void InferenceServer::shed_oldest_locked() {
-  const RequestPtr oldest = queue_.front();
-  queue_.pop_front();
-  complete_with_error_locked(
-      oldest, ErrorKind::kQueueFull,
-      "shed by degraded admission (queue full; oldest request dropped)");
-  ++stats_.shed;
-  done_cv_.notify_all();
-}
-
-std::chrono::microseconds InferenceServer::effective_window_locked() const {
-  if (stop_) return std::chrono::microseconds(0);  // drain at full tilt
-  if (degraded_ && opts_.admission == ServerOptions::Admission::kDegrade) {
-    return opts_.degrade_window;
-  }
-  return opts_.batch_window;
 }
 
 InferenceServer::Deadline InferenceServer::earliest_queued_deadline_locked()
@@ -316,30 +293,17 @@ void InferenceServer::serve(const Tensor<std::int32_t>& frame_u8,
   const auto free_slots = [&] {
     return opts_.max_queue - static_cast<std::int64_t>(queue_.size());
   };
-  if (count > free_slots()) {
-    if (opts_.admission == ServerOptions::Admission::kReject) {
-      ++stats_.rejected;
-      std::ostringstream os;
-      os << "admission queue full (" << queue_.size() << " of "
-         << opts_.max_queue << " slots taken; the frame needs " << count
-         << ")";
-      fail_caller_locked(ErrorKind::kQueueFull, os.str());
-    }
-    if (opts_.admission == ServerOptions::Admission::kDegrade) {
-      // Never block the newest caller: drop-head the oldest queued
-      // requests to free the frame's slots — but never the frame's own.
-      if (count > opts_.max_queue) {
-        std::ostringstream os;
-        os << "a frame of " << count << " samples exceeds the admission "
-           << "queue bound (" << opts_.max_queue << ")";
-        fail_caller_locked(ErrorKind::kQueueFull, os.str());
-      }
-      while (count > free_slots()) shed_oldest_locked();
-    }
+  if (count > free_slots() &&
+      opts_.admission == ServerOptions::Admission::kReject) {
+    ++stats_.rejected;
+    std::ostringstream os;
+    os << "admission queue full (" << queue_.size() << " of "
+       << opts_.max_queue << " slots taken; the frame needs " << count << ")";
+    fail_caller_locked(ErrorKind::kQueueFull, os.str());
   }
 
-  // kBlock admits the samples as space frees; the other policies made room
-  // for all of them above, so this loop runs once.
+  // kBlock admits the samples as space frees; under kReject the frame fit,
+  // so this loop runs once.
   std::int64_t admitted = 0;
   for (;;) {
     const std::int64_t before = admitted;
@@ -354,13 +318,6 @@ void InferenceServer::serve(const Tensor<std::int32_t>& frame_u8,
       // peak needs recording here.
       stats_.peak_queue_depth = std::max(
           stats_.peak_queue_depth, static_cast<std::int64_t>(queue_.size()));
-      if (opts_.admission == ServerOptions::Admission::kDegrade &&
-          !degraded_ &&
-          static_cast<std::int64_t>(queue_.size()) >=
-              opts_.degrade_high_water) {
-        degraded_ = true;
-        ++stats_.degrade_entries;
-      }
       queue_cv_.notify_one();
     }
     if (admitted == count) break;
@@ -495,7 +452,7 @@ bool InferenceServer::dispatch_cycle(std::size_t replica_index,
     if (queue_.empty()) return false;  // stop requested and fully drained
     // Expired requests fail at dequeue — before occupying a batch slot.
     expire_queued_locked(std::chrono::steady_clock::now());
-    // Hold the batch open up to the effective window for more requests
+    // Hold the batch open up to the batch window for more requests
     // (unless shutdown wants the queue drained as fast as possible) — but
     // never past the earliest deadline among the queued requests: the
     // window is clipped to just short of that deadline so the batch forms
@@ -505,7 +462,7 @@ bool InferenceServer::dispatch_cycle(std::size_t replica_index,
     if (!stop_ && !queue_.empty() &&
         static_cast<std::int64_t>(queue_.size()) < opts_.max_batch) {
       const Deadline window_end =
-          std::chrono::steady_clock::now() + effective_window_locked();
+          std::chrono::steady_clock::now() + opts_.batch_window;
       while (!stop_ &&
              static_cast<std::int64_t>(queue_.size()) < opts_.max_batch) {
         Deadline limit = window_end;
@@ -561,11 +518,6 @@ bool InferenceServer::dispatch_cycle(std::size_t replica_index,
     rep.in_flight = batch;
     rep.in_cycle = true;
     rep.cycle_start = std::chrono::steady_clock::now();
-    if (degraded_ &&
-        static_cast<std::int64_t>(queue_.size()) * 2 <=
-            opts_.degrade_high_water) {
-      degraded_ = false;  // backlog drained below half the high-water mark
-    }
     // The queue may still hold a batch's worth for an idle replica, and
     // admission backpressure has space again.
     if (!queue_.empty()) queue_cv_.notify_one();
@@ -744,7 +696,6 @@ InferenceServer::Stats InferenceServer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;
   s.queue_depth = static_cast<std::int64_t>(queue_.size());
-  s.degraded = degraded_;
   s.replica_health.reserve(replicas_.size());
   for (const Replica& r : replicas_) {
     s.replica_health.push_back(r.health);

@@ -8,7 +8,7 @@
 // one lock, its samples queue side by side, and they may spread over
 // several replicas and batches; a single-sample infer() is the N = 1 frame.
 // Samples pass a bounded admission queue (backpressure: block until space
-// frees, reject immediately, or degrade — see ServerOptions::admission)
+// frees or reject immediately — see ServerOptions::admission)
 // and are drained by N dispatcher replicas. Each replica owns a compiled
 // InferenceSession — its own ActivationSlab, batch gather/scatter
 // tensors, and a private ThreadPool slice of the hardware
@@ -52,15 +52,6 @@
 // server fails queued and future requests with kReplicaFailed instead of
 // stranding them.
 //
-// Graceful degradation: Admission::kDegrade never blocks a new caller.
-// While the queue sits above a high-water mark the server is "degraded":
-// dispatchers shrink the batch window to degrade_window (default 0 — drain
-// at full tilt), and when the queue is hard-full the oldest queued request
-// is shed (failed kQueueFull) to admit the newest — drop-head, because the
-// oldest request is the one most likely already past its caller's patience.
-// Degradation exits once the queue falls back under half the high-water
-// mark.
-//
 // Batching is exact: the session's logits are bit-identical whether a
 // sample runs alone or inside any batch on any replica, so serving results
 // never depend on traffic (tests/test_server.cpp pins this; the fault
@@ -102,7 +93,7 @@ namespace apnn::nn {
 /// carries exactly one of these (Stats::error_counts indexes by it).
 enum class ErrorKind {
   kDeadlineExceeded = 0,  ///< the request's deadline passed before dispatch
-  kQueueFull,             ///< rejected or shed by admission control
+  kQueueFull,             ///< rejected by admission control
   kShuttingDown,          ///< admission after shutdown began
   kInvalidSample,         ///< malformed sample (failed admission validation)
   kReplicaFailed,         ///< the dispatcher holding the request died
@@ -161,20 +152,8 @@ struct ServerOptions {
     kBlock,    ///< samples enter as dispatchers free space (backpressure)
     kReject,   ///< a frame that does not fit the free space throws
                ///< kQueueFull as a whole, nothing queued (load shedding)
-    kDegrade,  ///< shed the oldest queued requests to admit the newest, and
-               ///< shrink the batch window while over the high-water mark;
-               ///< a frame that would shed its own samples throws kQueueFull
   };
   Admission admission = Admission::kBlock;
-
-  /// kDegrade: queue depth at/above which the server enters degraded mode
-  /// (shrunk batch window). 0 derives as max_queue / 2 (at least 1).
-  /// Degradation exits when the depth falls to high_water / 2.
-  std::int64_t degrade_high_water = 0;
-  /// kDegrade: the batch window used while degraded. The default (0) makes
-  /// dispatchers take whatever is queued immediately — larger effective
-  /// batches purely from backlog, no added waiting.
-  std::chrono::microseconds degrade_window{0};
 
   /// Self-healing watchdog: a dispatch cycle still running after this long
   /// is declared stuck — its requests fail with kReplicaFailed and the
@@ -248,18 +227,13 @@ class InferenceServer {
     std::int64_t peak_queue_depth = 0;  ///< high-water of queue_depth
 
     /// Failures by ErrorKind: one per sample failed in the queue or a
-    /// replica (shed requests count under kQueueFull), one per frame failed
+    /// replica, one per frame failed
     /// by its caller's admission (validation, kReject, shutdown, ...).
     /// Samples withdrawn because a sibling failed are not counted.
     std::array<std::int64_t, kErrorKindCount> error_counts{};
     std::int64_t errors(ErrorKind k) const {
       return error_counts[static_cast<std::size_t>(k)];
     }
-
-    /// Graceful degradation (Admission::kDegrade only).
-    bool degraded = false;            ///< over the high-water mark right now
-    std::int64_t degrade_entries = 0; ///< times degraded mode was entered
-    std::int64_t shed = 0;            ///< oldest-first drop-head victims
 
     /// Self-healing.
     std::int64_t replica_restarts = 0;  ///< successful monitor restarts
@@ -384,8 +358,6 @@ class InferenceServer {
   void complete_with_error_locked(const RequestPtr& req, ErrorKind kind,
                                   const std::string& msg);
   void expire_queued_locked(std::chrono::steady_clock::time_point now);
-  void shed_oldest_locked();
-  std::chrono::microseconds effective_window_locked() const;
   Deadline earliest_queued_deadline_locked() const;
   void quarantine_locked(std::size_t replica_index);
 
@@ -412,7 +384,6 @@ class InferenceServer {
   std::condition_variable monitor_cv_;  ///< monitor wakeups (exit, crash)
   std::deque<RequestPtr> queue_;
   bool stop_ = false;
-  bool degraded_ = false;      ///< kDegrade: over the high-water mark
   bool no_replicas_ = false;   ///< every replica quarantined
   std::int64_t active_clients_ = 0;  ///< infer() calls inside the monitor
   Stats stats_;

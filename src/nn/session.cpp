@@ -1407,9 +1407,15 @@ void InferenceSession::run_plan(Plan& plan,
         o.collect_profile = prof != nullptr;
         o.pool = opts_.pool;
         o.packed_out = &slot_of(step.out).planes;
+        core::microkernel::SparsityStats sstats;
+        o.sparsity_stats = prof != nullptr ? &sstats : nullptr;
+        const std::size_t first = prof != nullptr ? prof->kernels.size() : 0;
         core::ApmmResult r =
             core::apmm(attn_proj_weights(st, step.aux), xop, dev_, o, epi);
-        if (prof != nullptr) prof->add(r.profile);
+        if (prof != nullptr) {
+          prof->add(r.profile);
+          annotate_sparsity(prof, first, sstats);
+        }
         *lender = std::move(xop.planes.planes);
         break;
       }
@@ -1444,9 +1450,16 @@ void InferenceSession::run_plan(Plan& plan,
           o.collect_profile = prof != nullptr;
           o.pool = opts_.pool;
           o.y_out = &s0.dense;  // raw seq x seq scores
+          core::microkernel::SparsityStats sstats;
+          o.sparsity_stats = prof != nullptr ? &sstats : nullptr;
+          const std::size_t first =
+              prof != nullptr ? prof->kernels.size() : 0;
           core::ApmmResult r =
               core::apmm(qop, kop, dev_, o, core::Epilogue{});
-          if (prof != nullptr) prof->add(r.profile);
+          if (prof != nullptr) {
+            prof->add(r.profile);
+            annotate_sparsity(prof, first, sstats);
+          }
           s0.planes = std::move(qop.planes);
           s1.planes = std::move(kop.planes);
           // Scale -> integer softmax -> requantize, in place on the raw
@@ -1498,9 +1511,16 @@ void InferenceSession::run_plan(Plan& plan,
           o.collect_profile = prof != nullptr;
           o.pool = opts_.pool;
           o.y_out = &s1.dense;  // raw seq x d_head context
+          core::microkernel::SparsityStats sstats;
+          o.sparsity_stats = prof != nullptr ? &sstats : nullptr;
+          const std::size_t first =
+              prof != nullptr ? prof->kernels.size() : 0;
           core::ApmmResult r =
               core::apmm(wop, xop, dev_, o, core::Epilogue{});
-          if (prof != nullptr) prof->add(r.profile);
+          if (prof != nullptr) {
+            prof->add(r.profile);
+            annotate_sparsity(prof, first, sstats);
+          }
           s0.planes = std::move(wop.planes);
           s2.planes = std::move(xop.planes);
           relu_quantize_pack(tp, s1.dense.data(), seq, dh,
@@ -1543,9 +1563,15 @@ void InferenceSession::run_plan(Plan& plan,
         o.collect_profile = prof != nullptr;
         o.pool = opts_.pool;
         o.packed_out = &slot_of(step.out).planes;
+        core::microkernel::SparsityStats sstats;
+        o.sparsity_stats = prof != nullptr ? &sstats : nullptr;
+        const std::size_t first = prof != nullptr ? prof->kernels.size() : 0;
         core::ApmmResult r =
             core::apmm(st.attn_wo, xop, dev_, o, st.epilogue);
-        if (prof != nullptr) prof->add(r.profile);
+        if (prof != nullptr) {
+          prof->add(r.profile);
+          annotate_sparsity(prof, first, sstats);
+        }
         s0.planes = std::move(xop.planes);
         break;
       }

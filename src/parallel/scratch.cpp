@@ -28,7 +28,8 @@ void ScratchArena::add_chunk(std::size_t min_bytes) {
   Chunk c;
   // operator new guarantees only alignof(max_align_t); over-allocate and let
   // raw() align the bump pointer instead of relying on the base address.
-  c.data = std::make_unique<std::byte[]>(size + kAlignment);
+  // Left uninitialized: pages an arena never reaches stay unbacked.
+  c.data = std::make_unique_for_overwrite<std::byte[]>(size + kAlignment);
   c.size = size;
   ++heap_allocs_;
   capacity_ += size;
@@ -92,7 +93,12 @@ ScratchArena& ScratchArena::tls() {
   for (Slot& s : slots) {
     if (s.key == key) return *s.arena;
   }
-  slots.push_back(Slot{key, std::make_unique<ScratchArena>()});
+  // Built whole, first chunk included, so a thread that creates its arena
+  // ahead of work (ThreadPool::worker_loop) allocates nothing on its first
+  // block.
+  auto arena = std::make_unique<ScratchArena>();
+  arena->add_chunk(0);
+  slots.push_back(Slot{key, std::move(arena)});
   return *slots.back().arena;
 }
 

@@ -58,9 +58,10 @@ class ScratchArena {
   /// the steady-state-zero-allocation tests watch this counter.
   std::int64_t heap_alloc_count() const { return heap_allocs_; }
 
-  /// The calling thread's private arena (thread_local, lazily built). Worker
-  /// threads of the global ThreadPool live for the whole process, so their
-  /// arenas reach steady state after the first pass over a given shape.
+  /// The calling thread's private arena for the pool it is serving
+  /// (thread_local, built with its first chunk on the first call). Pool
+  /// workers build theirs when they start, and live as long as the pool, so
+  /// their arenas reach steady state after the first pass over a shape.
   static ScratchArena& tls();
 
  private:

@@ -4,6 +4,7 @@
 #include <exception>
 
 #include "src/common/check.hpp"
+#include "src/parallel/scratch.hpp"
 
 namespace apnn {
 
@@ -178,6 +179,14 @@ void ThreadPool::help(Loop& loop) {
 
 void ThreadPool::worker_loop() {
   CurrentPoolScope scope(this);
+  // Build this thread's own-pool scratch arena before any work arrives, so
+  // a warm pool is allocation-free whichever threads ran warm-up blocks.
+  parallel::ScratchArena::tls();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    started_.fetch_add(1, std::memory_order_release);
+  }
+  cv_.notify_all();
   for (;;) {
     Loop* loop = nullptr;
     {
@@ -203,6 +212,14 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end, Body fn,
                               std::int64_t grain) {
   APNN_CHECK(grain >= 1) << "grain=" << grain;
   if (begin >= end) return;
+  // A fresh pool's first loop waits until every worker has built its
+  // scratch arena (worker_loop), so no loop after it pays for one.
+  if (started_.load(std::memory_order_acquire) < workers_.size()) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] {
+      return started_.load(std::memory_order_relaxed) == workers_.size();
+    });
+  }
   CurrentPoolScope scope(this);
   const std::int64_t n = end - begin;
   const std::int64_t nchunks = (n + grain - 1) / grain;

@@ -102,6 +102,8 @@ class ThreadPool {
   /// Logical width `width` (the participating caller plus width - 1
   /// workers); 0 means hardware_concurrency(). A non-null `group` (which
   /// must outlive the pool) lets idle siblings steal this pool's helpers.
+  /// Each worker builds its scratch arena when it starts; the first
+  /// parallel_for waits until all have.
   explicit ThreadPool(unsigned width = 0, WorkStealGroup* group = nullptr);
   ~ThreadPool();
 
@@ -151,6 +153,8 @@ class ThreadPool {
   mutable std::mutex mu_;  // guards ring_/head_/count_/stop_ and joins
   std::condition_variable cv_;
   bool stop_ = false;
+  /// Workers past their arena build; incremented under mu_.
+  std::atomic<std::size_t> started_{0};
   WorkStealGroup* group_ = nullptr;
 };
 

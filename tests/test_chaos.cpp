@@ -12,8 +12,6 @@
 //     stall resolves, then the replica recovers;
 //   * deadlines fail fast at every lifecycle stage: admission, blocked on
 //     backpressure, and queued behind a stalled replica;
-//   * Admission::kDegrade sheds oldest-first instead of blocking and exits
-//     degraded mode once the backlog drains;
 //   * shutdown racing deadline expiry never strands or double-completes a
 //     request.
 #include <gtest/gtest.h>
@@ -348,51 +346,6 @@ TEST_F(ChaosTest, DeadlineExpiresWhileBlockedOnBackpressure) {
   a.join();
   b.join();
   EXPECT_EQ(server.stats().errors(ErrorKind::kDeadlineExceeded), 1);
-}
-
-// --- graceful degradation ----------------------------------------------------
-
-TEST_F(ChaosTest, DegradeShedsOldestInsteadOfBlocking) {
-  Fixture f(5, /*seed=*/520);
-  ServerOptions opts;
-  opts.replicas = 1;
-  opts.max_batch = 1;
-  opts.max_queue = 2;
-  opts.admission = ServerOptions::Admission::kDegrade;
-  opts.degrade_high_water = 2;
-  InferenceServer server(f.net, dev(), opts);
-
-  // One request stalls the replica; the next four arrive in order into a
-  // two-slot queue. Each over-admission drop-heads the oldest queued
-  // request, so the newest callers win and nobody blocks.
-  faultinject::arm(faultinject::kReplicaDispatch, 1, /*repeat=*/1,
-                   std::chrono::milliseconds(300));
-  std::atomic<int> served{0};
-  std::atomic<int> shed{0};
-  std::vector<std::thread> clients;
-  for (int i = 0; i < 5; ++i) {
-    clients.emplace_back([&, i] {
-      try {
-        expect_same_logits(server.infer(f.samples[static_cast<std::size_t>(i)]),
-                           f.golden[static_cast<std::size_t>(i)], i);
-        served.fetch_add(1);
-      } catch (const ServerError& e) {
-        EXPECT_EQ(e.kind(), ErrorKind::kQueueFull) << "client " << i;
-        shed.fetch_add(1);
-      }
-    });
-    // Strictly ordered arrivals so "oldest" is well defined.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  for (auto& t : clients) t.join();
-
-  const auto st = server.stats();
-  EXPECT_EQ(served.load() + shed.load(), 5);
-  EXPECT_GE(shed.load(), 1) << "overload must shed, not block";
-  EXPECT_EQ(st.shed, shed.load());
-  EXPECT_EQ(st.errors(ErrorKind::kQueueFull), shed.load());
-  EXPECT_GE(st.degrade_entries, 1);
-  EXPECT_FALSE(st.degraded) << "drained: degraded mode must have exited";
 }
 
 // --- shutdown races ----------------------------------------------------------

@@ -294,7 +294,7 @@ TEST(GatewayConfig, ParsesSectionsAndKeys) {
       "replicas = 2\n"
       "slice_threads = 1\n"
       "max_queue = 32\n"
-      "admission = degrade\n"
+      "admission = reject\n"
       "batch_window_us = 250\n"
       "\n"
       "; second model rides the defaults\n"
@@ -310,7 +310,7 @@ TEST(GatewayConfig, ParsesSectionsAndKeys) {
   EXPECT_EQ(cfg.models[0].replicas, 2);
   EXPECT_EQ(cfg.models[0].slice_threads, 1);
   EXPECT_EQ(cfg.models[0].max_queue, 32);
-  EXPECT_EQ(cfg.models[0].admission, "degrade");
+  EXPECT_EQ(cfg.models[0].admission, "reject");
   EXPECT_EQ(cfg.models[0].batch_window_us, 250);
   EXPECT_EQ(cfg.models[1].id, "vgg");
   // Unset keys inherit the server defaults.
@@ -334,7 +334,16 @@ TEST(GatewayConfig, RejectsTyposAndDuplicates) {
   // Garbage line.
   EXPECT_THROW(gw::parse_gateway_config("not an assignment\n"), Error);
   // autotune/cache_path are not model keys: a config that still sets them
-  // fails on the offending line.
+  // fails on the offending line. So does a removed admission value.
+  try {
+    gw::parse_gateway_config("[model m]\npath = x\nadmission = degrade\n");
+    ADD_FAILURE() << "admission = degrade parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "config line 3: admission 'degrade' is not block|reject"),
+              std::string::npos)
+        << e.what();
+  }
   for (const std::string key : {"autotune = true", "cache_path = x"}) {
     try {
       gw::parse_gateway_config("[model m]\npath = x\n" + key + "\n");

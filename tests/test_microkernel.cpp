@@ -322,7 +322,7 @@ TEST(WindowGather, TransposedStagingMatchesRowMajor) {
   std::vector<std::uint64_t> interleaved(
       static_cast<std::size_t>(nrows8 * words));
   src.stage(0, words, rowmajor.data());
-  src.stage_transposed(0, words, interleaved.data(), nullptr);
+  src.stage_transposed(0, words, interleaved.data());
   for (std::int64_t j = 0; j < nrows8; ++j) {
     for (std::int64_t w = 0; w < words; ++w) {
       ASSERT_EQ(interleaved[static_cast<std::size_t>(w * nrows8 + j)],

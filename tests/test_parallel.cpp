@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/parallel/scratch.hpp"
 #include "src/parallel/thread_pool.hpp"
 
 // --- global allocation counter ----------------------------------------------
@@ -302,6 +303,12 @@ TEST(ThreadPool, ParallelForAllocatesNothing) {
   const std::function<void(std::int64_t)> fbody = [&](std::int64_t i) {
     sum += i;
   };
+  // Warm every pool before measuring any: a pool's workers build their
+  // scratch arenas when they start, which must not land in another pool's
+  // measurement.
+  for (ThreadPool* pool : {&w1, &w2, &w4, &grouped, &sibling}) {
+    pool->parallel_for(0, 64, fbody);
+  }
   for (ThreadPool* pool : {&w1, &w2, &w4, &grouped}) {
     sum = 0;
     pool->parallel_for(0, 64, fbody);  // warm
@@ -314,6 +321,29 @@ TEST(ThreadPool, ParallelForAllocatesNothing) {
         << "width " << pool->size() + 1;
     EXPECT_EQ(sum.load(), 201 * 2016);
   }
+}
+
+// A worker builds its scratch arena when it starts, not on its first block:
+// a loop that reaches every thread of a fresh pool for the first time still
+// allocates nothing, even though warm-up ran on the caller alone.
+TEST(ThreadPool, WorkerArenasExistBeforeTheirFirstBlock) {
+  ThreadPool pool(4);
+  const auto use_arena = [] {
+    parallel::ScratchArena& arena = parallel::ScratchArena::tls();
+    arena.reset();
+    arena.get<std::uint64_t>(64)[0] = 1;
+  };
+  pool.parallel_for(0, 1, [&](std::int64_t) { use_arena(); });  // caller only
+  std::atomic<int> arrived{0};
+  const std::int64_t before = g_allocs.load();
+  // Each of the 4 chunks waits until all are claimed, so each runs on a
+  // distinct thread.
+  pool.parallel_for(0, 4, [&](std::int64_t) {
+    use_arena();
+    ++arrived;
+    while (arrived.load() < 4) std::this_thread::yield();
+  });
+  EXPECT_EQ(g_allocs.load() - before, 0);
 }
 
 // Runs one 2-chunk loop whose body writes into this frame. The caller

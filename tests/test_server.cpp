@@ -8,8 +8,8 @@
 //     dispatchers stay alive;
 //   * frame admission: an N-sample infer_frame() is bit-exact per sample
 //     and in order against batch-1 runs; it is validated whole before
-//     anything queues, fails whole under kReject/kDegrade when it cannot
-//     fit, and leaves nothing queued when it fails mid-frame;
+//     anything queues, fails whole under kReject when it cannot fit, and
+//     leaves nothing queued when it fails mid-frame;
 //   * admission control: the bounded queue rejects (kReject) or
 //     backpressures (kBlock) when full, and the stats account for it;
 //   * shutdown: queued requests are drained, late callers get the
@@ -378,30 +378,6 @@ TEST(ServerFrame, RejectFailsAFrameThatDoesNotFitAsAWhole) {
   }
 }
 
-TEST(ServerFrame, DegradeNeverShedsAFramesOwnSamples) {
-  const ModelSpec m = mini_cnn(4, 8, 5);
-  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 830);
-  net.calibrate(random_input(1, m, 831));
-  ServerOptions opts;
-  opts.replicas = 1;
-  opts.max_batch = 4;
-  opts.max_queue = 4;
-  opts.admission = ServerOptions::Admission::kDegrade;
-  InferenceServer server(net, dev(), opts);
-
-  // Five samples cannot fit a four-slot queue without shedding their own.
-  EXPECT_EQ(frame_error_kind(server, random_input(5, m, 832)),
-            ErrorKind::kQueueFull);
-  auto st = server.stats();
-  EXPECT_EQ(st.shed, 0);
-  EXPECT_EQ(st.requests, 0);
-  EXPECT_EQ(st.peak_queue_depth, 0);
-
-  Tensor<std::int32_t> logits;
-  server.infer_frame(random_input(4, m, 833), &logits);
-  EXPECT_EQ(server.stats().requests, 4);
-}
-
 TEST(ServerFrame, DeadlineExpiringMidFrameFailsItAndLeavesNothingQueued) {
   const ModelSpec m = mini_cnn(4, 8, 5);
   ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 840);
@@ -457,7 +433,7 @@ TEST(Server, RejectPolicyShedsLoadWhenQueueIsFull) {
   std::thread first([&] { first_logits = server.infer(sample); });
   while (server.stats().queue_depth < 1) std::this_thread::yield();
 
-  EXPECT_THROW(server.infer(sample), apnn::Error);  // queue full -> shed
+  EXPECT_THROW(server.infer(sample), apnn::Error);  // queue full -> rejected
   {
     const auto stats = server.stats();
     EXPECT_EQ(stats.rejected, 1);
@@ -465,7 +441,7 @@ TEST(Server, RejectPolicyShedsLoadWhenQueueIsFull) {
   }
 
   // Drain: the queued request is served (the rejection shed load, it did
-  // not poison the queue), and the shed caller's slot was never admitted.
+  // not poison the queue), and the rejected caller's slot was never admitted.
   server.shutdown();
   first.join();
   EXPECT_EQ(first_logits.numel(), 5);

@@ -12,13 +12,11 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
-#include <thread>
 #include <vector>
 
 #include "src/nn/apnn_network.hpp"
 #include "src/nn/model.hpp"
 #include "src/nn/session.hpp"
-#include "src/parallel/scratch.hpp"
 #include "src/parallel/thread_pool.hpp"
 #include "src/tcsim/device_spec.hpp"
 
@@ -67,22 +65,6 @@ const tcsim::DeviceSpec& dev() { return tcsim::rtx3090(); }
 /// SessionOptions::pool, so a narrow host cannot hide a multi-worker
 /// regression.
 constexpr unsigned kPoolWidths[] = {1, 2, 4};
-
-/// Creates every pool thread's scratch arena for `pool`. Each of `width`
-/// chunks waits until all are claimed, so each lands on a distinct thread;
-/// otherwise a worker that scheduling kept out of every warm-up run would
-/// build its arena (its first block ever) inside a measured run.
-void warm_arenas(ThreadPool& pool) {
-  const unsigned width = pool.size() + 1;
-  std::atomic<unsigned> arrived{0};
-  pool.parallel_for(0, width, [&](std::int64_t) {
-    parallel::ScratchArena& arena = parallel::ScratchArena::tls();
-    arena.get<std::byte>(1);
-    arena.reset();
-    ++arrived;
-    while (arrived.load() < width) std::this_thread::yield();
-  });
-}
 
 std::int64_t allocs_of_run(InferenceSession& session,
                            const Tensor<std::int32_t>& in,
@@ -231,7 +213,6 @@ TEST(Session, SteadyStateFootprintAndAllocationsStable) {
   net.calibrate(input);
   for (const unsigned width : kPoolWidths) {
     ThreadPool pool(width);
-    warm_arenas(pool);
     SessionOptions so;
     so.pool = &pool;
     InferenceSession session(net, dev(), so);
@@ -291,7 +272,6 @@ TEST(Session, AlternatingSeenBatchesStayAllocationFlat) {
   const auto in2 = random_input(2, m, 353);
   for (const unsigned width : kPoolWidths) {
     ThreadPool pool(width);
-    warm_arenas(pool);
     SessionOptions so;
     so.pool = &pool;
     InferenceSession session(net, dev(), so);
@@ -389,7 +369,6 @@ TEST(Session, AttentionSteadyStateAcrossBucketsStaysFlat) {
   inputs.push_back(random_tokens(1, 50, m.input.c, 413));  // pads to 64
   for (const unsigned width : kPoolWidths) {
     ThreadPool pool(width);
-    warm_arenas(pool);
     SessionOptions so;
     so.pool = &pool;
     InferenceSession session(net, dev(), so);

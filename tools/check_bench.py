@@ -59,6 +59,7 @@ def _sweep_gates():
     """apmm_sparsity_sweep: the 0% and 90% acceptance points carry ceilings;
     the mid-sweep times and per-point ratios are informational."""
     gates = {"m": "info", "n": "info", "k": "info", "reps": "info",
+             "hardware_threads": "info",
              "sparsity_speedup_90": "ratio_floor",
              "dense_parity_speedup_0": "ratio_floor"}
     for scheme in ("w1a2", "w2a2"):
@@ -77,7 +78,7 @@ GATES = {
         "batch": "exact", "in_c": "exact", "hw": "exact", "out_c": "exact",
         "kernel": "exact", "gemm_m": "exact", "gemm_n": "exact",
         "gemm_k": "exact", "tile_bm": "exact", "tile_bn": "exact",
-        "reps": "info",
+        "reps": "info", "hardware_threads": "info",
         "materialized_ms": "ms_ceiling", "fused_ms": "ms_ceiling",
         "materialized_gops": "info", "fused_gops": "info",
         "speedup": "ratio_floor",
@@ -103,7 +104,7 @@ GATES = {
         "speedup": "ratio_floor",
     },
     "BENCH_attention_hotpath.json": {
-        "buckets": "exact", "reps": "info",
+        "buckets": "exact", "reps": "info", "hardware_threads": "info",
         "hand_seq32_millis": "info", "session_seq32_millis": "info",
         "hand_seq512_millis": "info", "session_seq512_millis": "info",
         "speedup_seq32": "ratio_floor", "speedup_seq512": "ratio_floor",
@@ -114,6 +115,7 @@ GATES = {
     },
     "BENCH_gateway_throughput.json": {
         "requests_per_model": "info", "clients_per_model": "info",
+        "hardware_threads": "info",
         "reload_drill_drops": "exact",
         "gateway_rps": "info", "wall_millis": "info",
         "model0_p50_millis": "info", "model0_p99_millis": "info",
