@@ -302,6 +302,7 @@ int main(int argc, char** argv) {
                "  \"tile_bm\": %d,\n  \"tile_bn\": %d,\n"
                "  \"reps\": %d,\n"
                "  \"hardware_threads\": %u,\n"
+               "  \"simd\": \"%s\",\n"
                "  \"bit_exact\": true,\n"
                "  \"materialized_ms\": %.3f,\n"
                "  \"fused_ms\": %.3f,\n"
@@ -316,7 +317,9 @@ int main(int argc, char** argv) {
                static_cast<long long>(g.gemm_m()),
                static_cast<long long>(g.gemm_n()),
                static_cast<long long>(g.gemm_k()), tile.bm, tile.bn, reps,
-               std::max(1u, std::thread::hardware_concurrency()), mat_ms, fused_ms, mat_gops, fused_gops, speedup);
+               std::max(1u, std::thread::hardware_concurrency()),
+               core::microkernel::kSimdFlavor, mat_ms, fused_ms, mat_gops,
+               fused_gops, speedup);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

@@ -311,6 +311,7 @@ int main(int argc, char** argv) {
                "  \"tile_bm\": %d,\n  \"tile_bn\": %d,\n"
                "  \"reps\": %d,\n"
                "  \"hardware_threads\": %u,\n"
+               "  \"simd\": \"%s\",\n"
                "  \"seed_ms\": %.3f,\n"
                "  \"microkernel_ms\": %.3f,\n"
                "  \"seed_gops\": %.2f,\n"
@@ -321,8 +322,8 @@ int main(int argc, char** argv) {
                "}\n",
                static_cast<long long>(size), static_cast<long long>(size),
                static_cast<long long>(size), tile.bm, tile.bn, reps,
-               hw_threads, seed_ms, new_ms, seed_gops, new_gops, speedup,
-               scores_ms, proj_ms);
+               hw_threads, core::microkernel::kSimdFlavor, seed_ms, new_ms,
+               seed_gops, new_gops, speedup, scores_ms, proj_ms);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

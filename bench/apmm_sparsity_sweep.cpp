@@ -11,7 +11,8 @@
 // At each point the same operands run with MicroConfig::sparse_staging =
 // kOff (dense baseline), kAuto (production gate), and kOn (forced sparse);
 // all three must agree bit-exactly — a skipped word that mattered is a hard
-// failure, not a slow run. Two ratios gate the result:
+// failure, not a slow run. kOff and kAuto are timed rep by rep in
+// alternation, best of reps each. Two ratios gate the result:
 //   * sparsity_speedup_90   : kOff/kAuto at 90% zero words, >= 1.30x
 //   * dense_parity_speedup_0: kOff/kAuto on dense operands, >= 0.97x —
 //     the occupancy build + density gate must be ~free when there is
@@ -79,15 +80,27 @@ ApOperand sparse_features(Rng& rng, std::int64_t n, std::int64_t k,
   return core::make_operand(t, enc, q);
 }
 
-template <typename Fn>
-double best_of_ms(int reps, Fn&& fn) {
-  double best = 1e30;
-  for (int r = 0; r < reps; ++r) {
+/// Best-of-reps wall times of two paths timed rep by rep (A B, B A, ...),
+/// so a slow spell on the host lands on both sides of the ratio instead of
+/// on one path's whole block of reps.
+template <typename FnA, typename FnB>
+void interleaved_best_ms(int reps, FnA&& a, FnB&& b, double* a_ms,
+                         double* b_ms) {
+  *a_ms = *b_ms = 1e30;
+  auto time = [](auto& fn, double* best) {
     WallTimer t;
     fn();
-    best = std::min(best, t.millis());
+    *best = std::min(*best, t.millis());
+  };
+  for (int r = 0; r < reps; ++r) {
+    if (r % 2 == 0) {
+      time(a, a_ms);
+      time(b, b_ms);
+    } else {
+      time(b, b_ms);
+      time(a, a_ms);
+    }
   }
-  return best;
 }
 
 }  // namespace
@@ -155,10 +168,10 @@ int main(int argc, char** argv) {
       }
       if (!bit_exact) break;
 
-      const double dms =
-          best_of_ms(reps, [&] { run(Sparse::kOff, &y_dense); });
-      const double sms =
-          best_of_ms(reps, [&] { run(Sparse::kAuto, &y_sparse); });
+      double dms = 0.0, sms = 0.0;
+      interleaved_best_ms(
+          reps, [&] { run(Sparse::kOff, &y_dense); },
+          [&] { run(Sparse::kAuto, &y_sparse); }, &dms, &sms);
       dense_ms[si].push_back(dms);
       sparse_ms[si].push_back(sms);
       std::printf(

@@ -23,7 +23,7 @@ constexpr std::int64_t occ_words(std::int64_t words) {
 inline std::uint64_t occ_scan(const std::uint64_t* src, std::int64_t words) {
   std::uint64_t m = 0;
   std::int64_t w = 0;
-#if defined(__AVX512BW__)
+#if defined(__AVX512BW__) && defined(__AVX512VPOPCNTDQ__)
   for (; w + 8 <= words; w += 8) {
     const __m512i v = _mm512_loadu_si512(src + w);
     m |= static_cast<std::uint64_t>(_mm512_test_epi64_mask(v, v)) << w;
@@ -77,8 +77,8 @@ void stage_panel(const std::uint64_t* const* rows, std::int64_t nrows,
 
 /// Word-interleaved variant: panel[w * nrows + j] = rows[j][w0 + w]. The
 /// SIMD row-block kernels stage B this way so one vector load spans word w
-/// of several consecutive output columns and psadbw lanes align with
-/// columns (no per-element horizontal reduction).
+/// of several consecutive output columns and the 64-bit count lanes align
+/// with columns (no per-element horizontal reduction).
 void stage_panel_transposed(const std::uint64_t* const* rows,
                             std::int64_t nrows, std::int64_t w0,
                             std::int64_t words, std::uint64_t* panel) {
@@ -151,48 +151,62 @@ std::int64_t stage_panel_transposed_occ(const std::uint64_t* const* rows,
   return zeros;
 }
 
-#if defined(__AVX512BW__)
+#if defined(__AVX512BW__) && defined(__AVX512VPOPCNTDQ__)
+
+// raw[0..8) += the eight 64-bit lanes (each fits int32).
+inline void add_lanes512(std::int32_t* raw, __m512i acc64) {
+  // maskz form: the plain _mm512_cvtepi64_epi32 seeds its destination with
+  // _mm256_undefined_si256, which trips gcc's -Wmaybe-uninitialized at -O3
+  // (GCC PR105593); the zero seed emits the same vpmovqd.
+  const __m256i lanes = _mm512_maskz_cvtepi64_epi32(0xff, acc64);
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(raw),
+      _mm256_add_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw)), lanes));
+}
 
 // B is staged word-interleaved (panel[w * cols8 + j]), so one 512-bit load
-// covers word w of 8 consecutive output columns and psadbw's eight 64-bit
+// covers word w of 8 consecutive output columns and vpopcntq's eight 64-bit
 // lanes ARE the eight per-column partial sums — no horizontal reduction per
-// output element, the killer overhead when K is only a few words. Byte-wise
-// counters flush to the lane accumulator at most every 31 words (8 bits max
-// per byte per word, 255 ceiling).
+// output element, the killer overhead when K is only a few words. The lanes
+// accumulate across the whole strip (at most 64 * kStripWords per lane), so
+// there is no counter flush.
+//
+// Both row-block kernels walk kRowBlock A rows at a time, so each B load
+// feeds kRowBlock broadcast/op/popcount/add chains. That keeps the popcount
+// port busy: 1.2-1.4x the one-row loop on 128x256 blocks, and 8 rows
+// measure the same as 4. rows8 is a multiple of 8.
+constexpr int kRowBlock = 4;
+
+// acc[r] += popc(op(a[r * lda], b[0..8))) for the kRowBlock rows at `a`:
+// one k-word of the row block against one k-word of 8 staged columns.
+template <tcsim::BitOp Op>
+inline void rowblock_word(const std::uint64_t* a, std::int64_t lda,
+                          const std::uint64_t* b, __m512i* acc) {
+  const __m512i bv = _mm512_loadu_si512(b);
+  for (int r = 0; r < kRowBlock; ++r) {
+    acc[r] = _mm512_add_epi64(
+        acc[r], detail::popc_op512<Op>(
+                    _mm512_set1_epi64(static_cast<long long>(a[r * lda])),
+                    bv));
+  }
+}
+
 template <tcsim::BitOp Op>
 void rowblock_strip(const std::uint64_t* a_panel, std::int64_t rows8,
                     const std::uint64_t* bt_panel, std::int64_t cols8,
                     std::int64_t words, std::int32_t* raw) {
-  constexpr std::int64_t kMaxWordsPerChunk = 31;
-  for (std::int64_t i = 0; i < rows8; ++i) {
+  for (std::int64_t i = 0; i < rows8; i += kRowBlock) {
     const std::uint64_t* ap = a_panel + i * words;
     for (std::int64_t j = 0; j < cols8; j += 8) {
-      __m512i acc64 = _mm512_setzero_si512();
-      std::int64_t w = 0;
-      while (w < words) {
-        const std::int64_t chunk =
-            std::min<std::int64_t>(words - w, kMaxWordsPerChunk);
-        __m512i bytes = _mm512_setzero_si512();
-        for (std::int64_t s = 0; s < chunk; ++s, ++w) {
-          const __m512i av =
-              _mm512_set1_epi64(static_cast<long long>(ap[w]));
-          const __m512i bv = _mm512_loadu_si512(bt_panel + w * cols8 + j);
-          bytes = _mm512_add_epi8(
-              bytes, detail::popcount_bytes512(detail::bit_op512<Op>(av, bv)));
-        }
-        acc64 = _mm512_add_epi64(acc64,
-                                 _mm512_sad_epu8(bytes, _mm512_setzero_si512()));
+      __m512i acc[kRowBlock];
+      for (int r = 0; r < kRowBlock; ++r) acc[r] = _mm512_setzero_si512();
+      for (std::int64_t w = 0; w < words; ++w) {
+        rowblock_word<Op>(ap + w, words, bt_panel + w * cols8 + j, acc);
       }
-      std::int32_t* dst = raw + i * cols8 + j;
-      // maskz form: the plain _mm512_cvtepi64_epi32 seeds its destination
-      // with _mm256_undefined_si256, which trips gcc's -Wmaybe-uninitialized
-      // at -O3 (GCC PR105593); the zero seed emits the same vpmovqd.
-      const __m256i lanes = _mm512_maskz_cvtepi64_epi32(0xff, acc64);
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(dst),
-          _mm256_add_epi32(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst)),
-              lanes));
+      for (int r = 0; r < kRowBlock; ++r) {
+        add_lanes512(raw + (i + r) * cols8 + j, acc[r]);
+      }
     }
   }
 }
@@ -201,82 +215,54 @@ void rowblock_strip(const std::uint64_t* a_panel, std::int64_t rows8,
 // OR-combined over this many columns before the skip sweep.
 constexpr std::int64_t kColBlock = 8;
 
-// Occupancy-consulting flavor: per (row, column-block) lane, words whose
-// combined mask bit is clear contribute exactly zero (AND: either operand
-// word is zero; XOR: both are) and are skipped outright. Saturated lanes
-// fall back to the sequential sweep so dense data never pays the bit-scan;
-// the 31-word byte-counter budget carries across skip runs.
+// Occupancy-consulting flavor: per (row block, column block), words whose
+// combined mask bit is clear contribute exactly zero to every row of the
+// block (AND: the column-block word or all kRowBlock row words are zero;
+// XOR: all of them are) and are skipped outright. Saturated blocks fall
+// back to the sequential sweep so dense data never pays the bit-scan.
 template <tcsim::BitOp Op>
 void rowblock_strip_sparse(const std::uint64_t* a_panel, std::int64_t rows8,
                            const std::uint64_t* bt_panel, std::int64_t cols8,
                            std::int64_t words, const std::uint64_t* occ_a,
                            const std::uint64_t* occ_gb, std::int64_t mw,
                            std::int32_t* raw) {
-  constexpr std::int64_t kMaxWordsPerChunk = 31;
-  for (std::int64_t i = 0; i < rows8; ++i) {
+  std::uint64_t ga[occ_words(kStripWords)];
+  for (std::int64_t i = 0; i < rows8; i += kRowBlock) {
     const std::uint64_t* ap = a_panel + i * words;
-    const std::uint64_t* oa = occ_a + i * mw;
+    for (std::int64_t c = 0; c < mw; ++c) {
+      ga[c] = 0;
+      for (int r = 0; r < kRowBlock; ++r) ga[c] |= occ_a[(i + r) * mw + c];
+    }
     for (std::int64_t j = 0; j < cols8; j += kColBlock) {
       const std::uint64_t* ob = occ_gb + (j / kColBlock) * mw;
       std::int64_t active = 0;
       for (std::int64_t c = 0; c < mw; ++c) {
         const std::uint64_t m =
-            Op == tcsim::BitOp::kAnd ? oa[c] & ob[c] : oa[c] | ob[c];
+            Op == tcsim::BitOp::kAnd ? ga[c] & ob[c] : ga[c] | ob[c];
         active += __builtin_popcountll(m);
       }
-      if (active == 0) continue;  // whole lane contributes nothing
-      __m512i acc64 = _mm512_setzero_si512();
+      if (active == 0) continue;  // whole block contributes nothing
+      __m512i acc[kRowBlock];
+      for (int r = 0; r < kRowBlock; ++r) acc[r] = _mm512_setzero_si512();
       if (active == words) {
-        std::int64_t w = 0;
-        while (w < words) {
-          const std::int64_t chunk =
-              std::min<std::int64_t>(words - w, kMaxWordsPerChunk);
-          __m512i bytes = _mm512_setzero_si512();
-          for (std::int64_t s = 0; s < chunk; ++s, ++w) {
-            const __m512i av =
-                _mm512_set1_epi64(static_cast<long long>(ap[w]));
-            const __m512i bv = _mm512_loadu_si512(bt_panel + w * cols8 + j);
-            bytes = _mm512_add_epi8(
-                bytes,
-                detail::popcount_bytes512(detail::bit_op512<Op>(av, bv)));
-          }
-          acc64 = _mm512_add_epi64(
-              acc64, _mm512_sad_epu8(bytes, _mm512_setzero_si512()));
+        for (std::int64_t w = 0; w < words; ++w) {
+          rowblock_word<Op>(ap + w, words, bt_panel + w * cols8 + j, acc);
         }
       } else {
-        __m512i bytes = _mm512_setzero_si512();
-        std::int64_t budget = kMaxWordsPerChunk;
         for (std::int64_t c = 0; c < mw; ++c) {
           std::uint64_t m =
-              Op == tcsim::BitOp::kAnd ? oa[c] & ob[c] : oa[c] | ob[c];
+              Op == tcsim::BitOp::kAnd ? ga[c] & ob[c] : ga[c] | ob[c];
           const std::int64_t base = c * 64;
           while (m != 0) {
             const std::int64_t w = base + __builtin_ctzll(m);
             m &= m - 1;
-            const __m512i av =
-                _mm512_set1_epi64(static_cast<long long>(ap[w]));
-            const __m512i bv = _mm512_loadu_si512(bt_panel + w * cols8 + j);
-            bytes = _mm512_add_epi8(
-                bytes,
-                detail::popcount_bytes512(detail::bit_op512<Op>(av, bv)));
-            if (--budget == 0) {
-              acc64 = _mm512_add_epi64(
-                  acc64, _mm512_sad_epu8(bytes, _mm512_setzero_si512()));
-              bytes = _mm512_setzero_si512();
-              budget = kMaxWordsPerChunk;
-            }
+            rowblock_word<Op>(ap + w, words, bt_panel + w * cols8 + j, acc);
           }
         }
-        acc64 = _mm512_add_epi64(
-            acc64, _mm512_sad_epu8(bytes, _mm512_setzero_si512()));
       }
-      std::int32_t* dst = raw + i * cols8 + j;
-      const __m256i lanes = _mm512_maskz_cvtepi64_epi32(0xff, acc64);
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(dst),
-          _mm256_add_epi32(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst)),
-              lanes));
+      for (int r = 0; r < kRowBlock; ++r) {
+        add_lanes512(raw + (i + r) * cols8 + j, acc[r]);
+      }
     }
   }
 }
@@ -410,11 +396,14 @@ constexpr std::int64_t kColBlock = 8;
 // kAuto engages the skip kernels only when staging saw at least this share
 // of all-zero words on the gating operand (AND: max of the two sides, since
 // either side's zero kills the word; XOR: min, since both must be zero).
-// Break-even sits well above the first nonzero occupancy: per-lane mask
-// plumbing costs the skip kernels ~10-20% of the dense sweep, and B-side
-// zeros dilute through the column-group OR, so strips below ~a third zero
-// words run faster dense (the w1a2 forward bench regresses with a lower
-// gate; the sparsity sweep's 50%+ points keep their full win).
+// Break-even sits above the first nonzero occupancy: the skip kernels pay a
+// bit-scan per active word and per-block mask plumbing, and zeros dilute
+// through the row- and column-block ORs. The AVX-512 skip kernel shares
+// each B load across kRowBlock rows like the dense sweep does; against the
+// vpopcntq dense sweep, forced-sparse strips break even at ~19% zero words
+// on a quiet host and ~30% on a loaded one (w1a2/w2a2 1024x1024 APMM,
+// 16- and 32-word strips, 60 interleaved pairs per point). The gate sits
+// above both, where the lookup-popcount AVX2 kernels also break even.
 constexpr double kSparseZeroGate = 0.34;
 
 // kAuto occupancy-sampling floor on the smaller panel dimension: a full

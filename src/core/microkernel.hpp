@@ -49,9 +49,11 @@ inline constexpr std::int64_t kStripWords = 32;
 
 /// Compile-time SIMD flavor of the popcount kernels. SIMD builds have the
 /// word-interleaved row-block kernel and always stage B for it; scalar
-/// builds stage row-major for the 8x8 tile kernel.
-#if defined(__AVX512BW__)
-inline constexpr const char* kSimdFlavor = "avx512bw";
+/// builds stage row-major for the 8x8 tile kernel. The AVX-512 flavor needs
+/// VPOPCNTDQ (native 64-bit-lane popcount) as well as BW; a host with BW
+/// alone builds the AVX2 flavor.
+#if defined(__AVX512BW__) && defined(__AVX512VPOPCNTDQ__)
+inline constexpr const char* kSimdFlavor = "avx512vpopcntdq";
 inline constexpr bool kHasRowBlockKernel = true;
 #elif defined(__AVX2__)
 inline constexpr const char* kSimdFlavor = "avx2";
@@ -72,29 +74,9 @@ inline std::int32_t bit_dot_word(std::uint64_t a, std::uint64_t b) {
   }
 }
 
-#if defined(__AVX512BW__)
+#if defined(__AVX512BW__) && defined(__AVX512VPOPCNTDQ__)
 
 namespace detail {
-
-/// Per-byte popcount of a 512-bit vector via the 4-bit pshufb lookup
-/// (Muła's technique): two table shuffles + an add per 64 bytes. The table
-/// is spelled as a full _mm512_set_epi8 constant (high byte first, the
-/// 16-byte nibble table repeated per 128-bit lane) rather than
-/// _mm512_broadcast_i32x4, whose _mm512_undefined_epi32 seed trips gcc's
-/// -Wmaybe-uninitialized at -O3 (GCC PR105593); the constant loads
-/// identically.
-inline __m512i popcount_bytes512(__m512i v) {
-  const __m512i lookup = _mm512_set_epi8(
-      4, 3, 3, 2, 3, 2, 2, 1, 3, 2, 2, 1, 2, 1, 1, 0,
-      4, 3, 3, 2, 3, 2, 2, 1, 3, 2, 2, 1, 2, 1, 1, 0,
-      4, 3, 3, 2, 3, 2, 2, 1, 3, 2, 2, 1, 2, 1, 1, 0,
-      4, 3, 3, 2, 3, 2, 2, 1, 3, 2, 2, 1, 2, 1, 1, 0);
-  const __m512i low_mask = _mm512_set1_epi8(0x0f);
-  const __m512i lo = _mm512_and_si512(v, low_mask);
-  const __m512i hi = _mm512_and_si512(_mm512_srli_epi16(v, 4), low_mask);
-  return _mm512_add_epi8(_mm512_shuffle_epi8(lookup, lo),
-                         _mm512_shuffle_epi8(lookup, hi));
-}
 
 template <tcsim::BitOp Op>
 inline __m512i bit_op512(__m512i a, __m512i b) {
@@ -103,6 +85,12 @@ inline __m512i bit_op512(__m512i a, __m512i b) {
   } else {
     return _mm512_and_si512(a, b);
   }
+}
+
+/// popc(op(a, b)) per 64-bit lane: one native vpopcntq per 512 bits.
+template <tcsim::BitOp Op>
+inline __m512i popc_op512(__m512i a, __m512i b) {
+  return _mm512_popcnt_epi64(bit_op512<Op>(a, b));
 }
 
 /// Horizontal sum of the eight 64-bit lanes. Open-coded instead of
@@ -122,64 +110,38 @@ inline std::int64_t hsum_epi64_512(__m512i v) {
 
 }  // namespace detail
 
-/// 8x8 k-strip microkernel, AVX-512BW flavor: same structure as the AVX2
-/// path below (one A row against all 8 staged B rows, byte-wise counter
-/// registers, one psadbw reduction per chunk) but 512 bits / 8 words per
-/// step — double the popcount throughput per shuffle-port cycle.
+/// 8x8 k-strip microkernel, AVX-512 VPOPCNTDQ flavor: one A row against all
+/// 8 staged B rows, 512 bits / 8 words per step. Counts accumulate in the
+/// 64-bit lanes vpopcntq produces — no lane can overflow for any strip, so
+/// there is no counter flush — and each B row's lanes are summed once per
+/// A row.
 template <tcsim::BitOp Op>
 inline void tile_8x8_strip(const std::uint64_t* a, std::int64_t lda,
                            const std::uint64_t* b, std::int64_t ldb,
                            std::int64_t words, std::int32_t* acc,
                            std::int64_t ldacc) {
-  constexpr std::int64_t kWordsPerStep = 8;   // 512 bits
-  constexpr std::int64_t kMaxStepsPerChunk = 31;  // byte counters < 256
-  const std::uint64_t* bp[8];
-  for (int j = 0; j < 8; ++j) bp[j] = b + j * ldb;
-
+  constexpr std::int64_t kWordsPerStep = 8;  // 512 bits
   for (int i = 0; i < 8; ++i) {
     const std::uint64_t* ap = a + i * lda;
-    std::int64_t c[8] = {0};
+    __m512i lanes[8];
+    for (int j = 0; j < 8; ++j) lanes[j] = _mm512_setzero_si512();
     std::int64_t w = 0;
-    while (words - w >= kWordsPerStep) {
-      const std::int64_t steps = std::min<std::int64_t>(
-          (words - w) / kWordsPerStep, kMaxStepsPerChunk);
-      __m512i b0 = _mm512_setzero_si512(), b1 = b0, b2 = b0, b3 = b0;
-      __m512i b4 = b0, b5 = b0, b6 = b0, b7 = b0;
-      for (std::int64_t s = 0; s < steps; ++s, w += kWordsPerStep) {
-        const __m512i av = _mm512_loadu_si512(ap + w);
-        b0 = _mm512_add_epi8(b0, detail::popcount_bytes512(
-                detail::bit_op512<Op>(av, _mm512_loadu_si512(bp[0] + w))));
-        b1 = _mm512_add_epi8(b1, detail::popcount_bytes512(
-                detail::bit_op512<Op>(av, _mm512_loadu_si512(bp[1] + w))));
-        b2 = _mm512_add_epi8(b2, detail::popcount_bytes512(
-                detail::bit_op512<Op>(av, _mm512_loadu_si512(bp[2] + w))));
-        b3 = _mm512_add_epi8(b3, detail::popcount_bytes512(
-                detail::bit_op512<Op>(av, _mm512_loadu_si512(bp[3] + w))));
-        b4 = _mm512_add_epi8(b4, detail::popcount_bytes512(
-                detail::bit_op512<Op>(av, _mm512_loadu_si512(bp[4] + w))));
-        b5 = _mm512_add_epi8(b5, detail::popcount_bytes512(
-                detail::bit_op512<Op>(av, _mm512_loadu_si512(bp[5] + w))));
-        b6 = _mm512_add_epi8(b6, detail::popcount_bytes512(
-                detail::bit_op512<Op>(av, _mm512_loadu_si512(bp[6] + w))));
-        b7 = _mm512_add_epi8(b7, detail::popcount_bytes512(
-                detail::bit_op512<Op>(av, _mm512_loadu_si512(bp[7] + w))));
+    for (; w + kWordsPerStep <= words; w += kWordsPerStep) {
+      const __m512i av = _mm512_loadu_si512(ap + w);
+      for (int j = 0; j < 8; ++j) {
+        lanes[j] = _mm512_add_epi64(
+            lanes[j], detail::popc_op512<Op>(
+                          av, _mm512_loadu_si512(b + j * ldb + w)));
       }
-      const __m512i zero = _mm512_setzero_si512();
-      c[0] += detail::hsum_epi64_512(_mm512_sad_epu8(b0, zero));
-      c[1] += detail::hsum_epi64_512(_mm512_sad_epu8(b1, zero));
-      c[2] += detail::hsum_epi64_512(_mm512_sad_epu8(b2, zero));
-      c[3] += detail::hsum_epi64_512(_mm512_sad_epu8(b3, zero));
-      c[4] += detail::hsum_epi64_512(_mm512_sad_epu8(b4, zero));
-      c[5] += detail::hsum_epi64_512(_mm512_sad_epu8(b5, zero));
-      c[6] += detail::hsum_epi64_512(_mm512_sad_epu8(b6, zero));
-      c[7] += detail::hsum_epi64_512(_mm512_sad_epu8(b7, zero));
-    }
-    for (; w < words; ++w) {  // scalar tail (< 8 words)
-      const std::uint64_t av = ap[w];
-      for (int j = 0; j < 8; ++j) c[j] += bit_dot_word<Op>(av, bp[j][w]);
     }
     std::int32_t* out = acc + i * ldacc;
-    for (int j = 0; j < 8; ++j) out[j] += static_cast<std::int32_t>(c[j]);
+    for (int j = 0; j < 8; ++j) {
+      std::int64_t c = detail::hsum_epi64_512(lanes[j]);
+      for (std::int64_t t = w; t < words; ++t) {  // scalar tail (< 8 words)
+        c += bit_dot_word<Op>(ap[t], b[j * ldb + t]);
+      }
+      out[j] += static_cast<std::int32_t>(c);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 // shapes that provoke the packed-output word race the seed had.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/baselines/gemm.hpp"
@@ -114,6 +115,91 @@ TEST(TileStrip, Bmma128SlabMatchesScalar) {
     for (int i = 0; i < 8; ++i) {
       for (int j = 0; j < 8; ++j) {
         EXPECT_EQ(acc[i * 8 + j], scalar_dot(op, a.row(i), b.row(j), 4));
+      }
+    }
+  }
+}
+
+// --- count lanes at their ceiling -----------------------------------------
+
+// A panel source whose every word is `fill`.
+class ConstPanel : public microkernel::PanelSource {
+ public:
+  ConstPanel(std::int64_t rows, std::uint64_t fill)
+      : rows_(rows), fill_(fill) {}
+  std::int64_t rows() const override { return rows_; }
+  void stage(std::int64_t, std::int64_t words,
+             std::uint64_t* panel) const override {
+    std::fill(panel, panel + rows_ * words, fill_);
+  }
+  void stage_transposed(std::int64_t, std::int64_t words,
+                        std::uint64_t* panel) const override {
+    std::fill(panel, panel + rows_ * words, fill_);
+  }
+
+ private:
+  std::int64_t rows_;
+  std::uint64_t fill_;
+};
+
+// Every output at its maximum, 64 per word: AND of ones with ones, XOR of
+// ones with zeros. Random bits average 32 per word and never come near the
+// ceiling of a narrow counter, so only saturated operands pin the count
+// lanes at (and across) strip and chunk boundaries. A second pass zeroes
+// A's first word so the forced-sparse kernel takes its skip branch with
+// every remaining word saturated.
+TEST(MaxCount, EveryOutputReadsSixtyFourPerWord) {
+  constexpr std::int64_t kRows = 16, kCols = 16;
+  std::vector<std::int64_t> word_counts;
+  for (std::int64_t w = 1; w <= 33; ++w) word_counts.push_back(w);
+  word_counts.push_back(8192 / 64);
+  parallel::ScratchArena arena;
+  for (const std::int64_t words : word_counts) {
+    const std::vector<std::uint64_t> ones(static_cast<std::size_t>(words),
+                                          ~std::uint64_t{0});
+    const std::vector<std::uint64_t> zeros(static_cast<std::size_t>(words),
+                                           0);
+    std::vector<std::uint64_t> holed = ones;
+    holed[0] = 0;
+    for (const auto op : {tcsim::BitOp::kXor, tcsim::BitOp::kAnd}) {
+      const std::vector<std::uint64_t>& b_row =
+          op == tcsim::BitOp::kAnd ? ones : zeros;
+      const std::vector<const std::uint64_t*> b_rows(kCols, b_row.data());
+      for (const bool hole : {false, true}) {
+        const std::vector<const std::uint64_t*> a_rows(
+            kRows, hole ? holed.data() : ones.data());
+        const std::int32_t want =
+            static_cast<std::int32_t>(64 * (hole ? words - 1 : words));
+        for (const auto mode : {microkernel::MicroConfig::Sparse::kOn,
+                                microkernel::MicroConfig::Sparse::kOff}) {
+          microkernel::MicroConfig micro;
+          micro.sparse_staging = mode;
+          std::vector<std::int32_t> acc(kRows * kCols, 0);
+          arena.reset();
+          microkernel::block_bitgemm(op, a_rows.data(), kRows, b_rows.data(),
+                                     kCols, words, acc.data(), arena, micro);
+          for (const std::int32_t v : acc) {
+            ASSERT_EQ(v, want) << "words=" << words << " hole=" << hole
+                               << " sparse=" << static_cast<int>(mode)
+                               << " op=" << static_cast<int>(op);
+          }
+        }
+        const ConstPanel src(kCols, b_row[0]);
+        std::vector<std::int32_t> acc(kRows * kCols, 0);
+        arena.reset();
+        microkernel::block_bitgemm(op, a_rows.data(), kRows, src, words,
+                                   acc.data(), arena);
+        for (const std::int32_t v : acc) {
+          ASSERT_EQ(v, want) << "panel source words=" << words
+                             << " hole=" << hole;
+        }
+      }
+      // The 8x8 tile kernel over the whole k range in one call.
+      std::vector<std::int32_t> tile(64, 0);
+      microkernel::tile_8x8_strip(op, ones.data(), 0, b_row.data(), 0, words,
+                                  tile.data(), 8);
+      for (const std::int32_t v : tile) {
+        ASSERT_EQ(v, 64 * words) << "tile words=" << words;
       }
     }
   }

@@ -27,8 +27,9 @@ Gate kinds:
                   so the default tolerance leaves headroom for other CI
                   hardware.
   info            presence-checked only: command-line parameters, host
-                  width, throughput and queueing metrics of short
-                  oversubscribed runs, and mid-sweep points.
+                  width and kernel flavor (``simd``, a string), throughput
+                  and queueing metrics of short oversubscribed runs, and
+                  mid-sweep points.
 
 Usage:
   check_bench.py --baseline-dir . --fresh-dir bench-out [names...]
@@ -78,7 +79,7 @@ GATES = {
         "batch": "exact", "in_c": "exact", "hw": "exact", "out_c": "exact",
         "kernel": "exact", "gemm_m": "exact", "gemm_n": "exact",
         "gemm_k": "exact", "tile_bm": "exact", "tile_bn": "exact",
-        "reps": "info", "hardware_threads": "info",
+        "reps": "info", "hardware_threads": "info", "simd": "info",
         "materialized_ms": "ms_ceiling", "fused_ms": "ms_ceiling",
         "materialized_gops": "info", "fused_gops": "info",
         "speedup": "ratio_floor",
@@ -86,7 +87,7 @@ GATES = {
     "BENCH_apmm_hotpath.json": {
         "m": "info", "n": "info", "k": "info",
         "tile_bm": "info", "tile_bn": "info", "reps": "info",
-        "hardware_threads": "info",
+        "hardware_threads": "info", "simd": "info",
         "seed_ms": "ms_ceiling", "microkernel_ms": "ms_ceiling",
         "seed_gops": "info", "microkernel_gops": "info",
         "speedup": "ratio_floor",
@@ -178,6 +179,8 @@ def check_file(name: str, base: dict, fresh: dict, ms_tol: float,
 
     for key, bval in base.items():
         if not is_number(bval):
+            if key in gates and key not in fresh:
+                errors.append(f"metric '{key}' missing from fresh output")
             continue
         kind = gates.get(key)
         if kind is None:
