@@ -21,7 +21,6 @@ std::string kernel_name(int p, int q) {
 ApmmOptions as_apmm_options(const ApconvOptions& o) {
   ApmmOptions a;
   a.autotune = false;  // tile already resolved by apconv
-  a.micro = o.micro;
   a.batch_planes = o.batch_planes;
   a.double_caching = o.double_caching;
   a.fragment_caching = o.fragment_caching;
@@ -298,7 +297,6 @@ ApconvResult apconv(const ApOperand& w, const layout::PackedActivations& x,
     internal::BatchedGeometry fgeom = internal::make_geometry(
         g.gemm_m(), g.gemm_n(), g.gemm_k(), w.bits(), x.bits, tile,
         win * win);
-    fgeom.micro = opts.micro;
     fgeom.pool = opts.pool;
     fgeom.sparsity = opts.sparsity_stats;
 

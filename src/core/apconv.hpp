@@ -37,9 +37,6 @@ struct ApconvOptions {
   TileConfig tile;
   double tlp_threshold = 64.0;
 
-  /// Host-microkernel execution knob; see ApmmOptions::micro.
-  microkernel::MicroConfig micro;
-
   bool batch_planes = true;
   bool double_caching = true;
   bool fragment_caching = true;
@@ -68,7 +65,7 @@ struct ApconvOptions {
   /// — must outlive the call. See ApmmOptions::pool.
   ThreadPool* pool = nullptr;
 
-  /// Occupancy/elision counters; see ApmmOptions::sparsity_stats.
+  /// Plane-elision counters; see ApmmOptions::sparsity_stats.
   microkernel::SparsityStats* sparsity_stats = nullptr;
 };
 

@@ -40,7 +40,6 @@ ApmmResult apmm(const ApOperand& w, const ApOperand& x,
   }
   res.tile = tile;
   BatchedGeometry g = internal::make_geometry(w, x, tile);
-  g.micro = opts.micro;
   g.pool = opts.pool;
   g.sparsity = opts.sparsity_stats;
 

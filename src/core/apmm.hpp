@@ -48,10 +48,6 @@ struct ApmmOptions {
   TileConfig tile;
   double tlp_threshold = 64.0;
 
-  /// Host-microkernel execution knob (sparse staging). Results are
-  /// bit-identical for every setting.
-  microkernel::MicroConfig micro;
-
   /// §4.1a batch strategy: one virtually batched BMMA vs p*q independent
   /// BMMA launches (the "existing BMMA kernels" baseline).
   bool batch_planes = true;
@@ -89,7 +85,7 @@ struct ApmmOptions {
   /// slice so N replicas don't oversubscribe the global pool N×.
   ThreadPool* pool = nullptr;
 
-  /// Occupancy/elision counters filled during the run (observability only;
+  /// Plane-elision counters filled during the run (observability only;
   /// thread-safe, non-owning). nullptr = don't collect.
   microkernel::SparsityStats* sparsity_stats = nullptr;
 };

@@ -187,8 +187,7 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
   //     feature-map plane implies all-zero patch rows.
   //   - Case III weight planes never elide (term = -wmult*xmult*x_popc).
   std::uint32_t elide_w = 0, elide_x = 0;
-  if (g.micro.sparse_staging != microkernel::MicroConfig::Sparse::kOff &&
-      sel.kind != EmulationCase::kCaseII) {
+  if (sel.kind != EmulationCase::kCaseII) {
     const auto plane_zero = [](const bitops::BitMatrix& pm) {
       for (std::int64_t r = 0; r < pm.rows(); ++r) {
         if (pm.row_popcount(r) != 0) return false;
@@ -396,16 +395,16 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
 
     // Raw popc accumulation over all k-strips ("fragment" storage), then the
     // staged cache-blocked microkernel sweep. The feature panels come from
-    // a row-pointer table over contiguous planes (occupancy staging per
-    // g.micro), or from the im2col-free window gather that assembles each
-    // k-strip straight from the packed feature map (always dense).
+    // a row-pointer table over contiguous planes, or from the im2col-free
+    // window gather that assembles each k-strip straight from the packed
+    // feature map.
     std::int32_t* raw = arena.get<std::int32_t>(g.vtm8 * g.vtn8);
     std::fill_n(raw, g.vtm8 * g.vtn8, 0);
     if (x.window_gather()) {
       const layout::WindowGatherSource gather(*x.fmap, *x.conv, x.pad_one,
                                               x.pool_win, n0, g.vtn8, g.vtn);
       microkernel::block_bitgemm(sel.bit_op, wrows, g.vtm8, gather,
-                                 g.row_words, raw, arena, g.sparsity);
+                                 g.row_words, raw, arena);
     } else {
       const std::uint64_t** xrows = arena.get<const std::uint64_t*>(g.vtn8);
       for (std::int64_t j = 0; j < g.vtn8; ++j) {
@@ -415,8 +414,7 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
                        : nullptr;
       }
       microkernel::block_bitgemm(sel.bit_op, wrows, g.vtm8, xrows, g.vtn8,
-                                 g.row_words, raw, arena, g.micro,
-                                 g.sparsity);
+                                 g.row_words, raw, arena);
     }
 
     // Block epilogue, the host analogue of the in-SHMEM plane reduction

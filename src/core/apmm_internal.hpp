@@ -38,15 +38,11 @@ struct BatchedGeometry {
   std::int64_t ktiles;    ///< 128-bit k-slabs
   std::int64_t row_words;
 
-  /// Host-microkernel execution knob. It changes neither results nor launch
-  /// records — only where bytes move.
-  microkernel::MicroConfig micro;
-
   /// Pool the block loops run on; nullptr = ThreadPool::global(). Execution
   /// knob only — results and launch records are identical for every pool.
   ThreadPool* pool = nullptr;
 
-  /// Optional occupancy/elision counters filled during the run (thread-safe;
+  /// Optional plane-elision counters filled during the run (thread-safe;
   /// observability only, never consulted for dispatch). nullptr = don't
   /// collect.
   microkernel::SparsityStats* sparsity = nullptr;

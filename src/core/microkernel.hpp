@@ -320,65 +320,18 @@ inline void tile_8x8_strip(tcsim::BitOp op, const std::uint64_t* a,
   }
 }
 
-/// Runtime execution knob of block_bitgemm. The k-strip depth is always
-/// kStripWords, and the staging layout is a build-time choice: SIMD builds
-/// stage B word-interleaved for the row-block kernel, scalar builds stage
-/// row-major for the 8x8 tile kernel.
-struct MicroConfig {
-  /// Data-sparsity fast path: zero-word occupancy maps built while panels
-  /// stage, consulted by skip-zero popcount kernels. Bit-exact for every
-  /// setting — a skipped word contributes exactly zero to the accumulator
-  /// (AND: either operand word zero; XOR: both zero). Occupancy staging
-  /// applies to row-pointer (APMM) operands only; window-gathered conv
-  /// panels always stage dense. kOff also turns off the combine layer's
-  /// all-zero bit-plane elision, for both.
-  enum class Sparse {
-    kAuto,  ///< build occupancy maps; per strip, engage the skip kernels
-            ///< only when the staged zero-word share clears the density
-            ///< gate, so dense operands keep the dense sweep
-    kOn,    ///< always run the occupancy-consulting kernels
-    kOff,   ///< dense sweep, no occupancy build (pre-sparsity behavior)
-  };
-  Sparse sparse_staging = Sparse::kAuto;
-};
-
-/// Cumulative data-sparsity observations of the staged k-sweeps — how often
-/// the occupancy machinery actually pays off in production. One instance may
-/// aggregate any number of concurrent block_bitgemm calls (counters are
-/// atomic; each block adds its locally summed counts once). Plane counters
-/// are filled by the combine layer (plane elision), not the microkernel.
+/// Whole-bit-plane elision counters of the combine layer: how many operand
+/// planes a call examined and how many were all-zero and dropped. One
+/// instance may aggregate any number of concurrent calls (atomic counters).
 struct SparsityStats {
-  std::atomic<std::int64_t> staged_words{0};   ///< words staged (A + B)
-  std::atomic<std::int64_t> zero_words{0};     ///< of which all-zero
-  std::atomic<std::int64_t> sparse_strips{0};  ///< strips via skip kernels
-  std::atomic<std::int64_t> dense_strips{0};   ///< strips via dense sweep
   std::atomic<std::int64_t> planes{0};         ///< operand planes examined
   std::atomic<std::int64_t> planes_elided{0};  ///< all-zero planes dropped
-
-  void reset() {
-    staged_words.store(0, std::memory_order_relaxed);
-    zero_words.store(0, std::memory_order_relaxed);
-    sparse_strips.store(0, std::memory_order_relaxed);
-    dense_strips.store(0, std::memory_order_relaxed);
-    planes.store(0, std::memory_order_relaxed);
-    planes_elided.store(0, std::memory_order_relaxed);
-  }
-
-  /// Fraction of staged 64-bit words that were all-zero (0 when nothing
-  /// staged yet).
-  double zero_word_fraction() const {
-    const std::int64_t total = staged_words.load(std::memory_order_relaxed);
-    if (total <= 0) return 0.0;
-    return static_cast<double>(zero_words.load(std::memory_order_relaxed)) /
-           static_cast<double>(total);
-  }
 };
 
 /// Where block_bitgemm's B-panel k-strips come from when B is not a
 /// row-pointer table: layout::WindowGatherSource assembles convolution
 /// patch rows on the fly from the packed feature-map planes (im2col-free
-/// APConv, §4.2), so the patch matrix is never materialized. Such sources
-/// stage dense; occupancy staging is a property of row-pointer operands.
+/// APConv, §4.2), so the patch matrix is never materialized.
 class PanelSource {
  public:
   virtual ~PanelSource() = default;
@@ -404,23 +357,17 @@ class PanelSource {
 ///   acc[i * cols8 + j] += sum_{w < row_words} popc(op(a_i[w], b_j[w]))
 /// walking k in kStripWords strips, staging each strip once, and invoking
 /// the build's inner kernel per output tile. All temporaries come from
-/// `arena` (valid until the caller's next reset()). The result is
-/// bit-identical for every MicroConfig — the knob only moves bytes.
-/// `stats`, when given, receives this call's locally summed sparsity
-/// counters (one atomic add per counter per call).
+/// `arena` (valid until the caller's next reset()).
 void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
                    std::int64_t rows8, const std::uint64_t* const* b_rows,
                    std::int64_t cols8, std::int64_t row_words,
-                   std::int32_t* acc, parallel::ScratchArena& arena,
-                   const MicroConfig& micro = {},
-                   SparsityStats* stats = nullptr);
+                   std::int32_t* acc, parallel::ScratchArena& arena);
 
-/// The same sweep with B staged densely from a panel source (b.rows() a
-/// multiple of 8); `stats` counts its strips as dense.
+/// The same sweep with B staged from a panel source (b.rows() a multiple
+/// of 8).
 void block_bitgemm(tcsim::BitOp op, const std::uint64_t* const* a_rows,
                    std::int64_t rows8, const PanelSource& b,
                    std::int64_t row_words, std::int32_t* acc,
-                   parallel::ScratchArena& arena,
-                   SparsityStats* stats = nullptr);
+                   parallel::ScratchArena& arena);
 
 }  // namespace apnn::core::microkernel

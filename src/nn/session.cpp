@@ -1060,21 +1060,12 @@ std::int64_t InferenceSession::validate_frame(
 
 namespace {
 
-/// Stamps the occupancy counters a step collected onto the launch records
-/// that step just appended ([first, end) of the sequence). A step that
-/// never staged a panel (kOff, or profile-only) leaves the -1 "not
-/// measured" default in place.
+/// Stamps the plane-elision counters a step collected onto the launch
+/// records that step just appended ([first, end) of the sequence).
 void annotate_sparsity(tcsim::SequenceProfile* prof, std::size_t first,
                        const core::microkernel::SparsityStats& st) {
-  const std::int64_t staged =
-      st.staged_words.load(std::memory_order_relaxed);
   for (std::size_t i = first; i < prof->kernels.size(); ++i) {
     tcsim::KernelProfile& k = prof->kernels[i];
-    if (staged > 0) k.sparsity_zero_word_fraction = st.zero_word_fraction();
-    k.sparsity_sparse_strips =
-        st.sparse_strips.load(std::memory_order_relaxed);
-    k.sparsity_dense_strips =
-        st.dense_strips.load(std::memory_order_relaxed);
     k.sparsity_planes = st.planes.load(std::memory_order_relaxed);
     k.sparsity_planes_elided =
         st.planes_elided.load(std::memory_order_relaxed);

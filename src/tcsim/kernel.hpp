@@ -26,16 +26,15 @@ struct KernelProfile {
   /// 0 means "not tile-structured" (elementwise kernels).
   double ci = 0;
 
-  /// Measured data-sparsity of the stage's staged operands (host sparse
-  /// fast path): share of all-zero 64-bit words seen at panel-staging time,
-  /// k-strips taken sparse vs dense, and whole bit-planes elided from the
-  /// combine. -1 / 0 defaults mean "not measured" (profile-only runs, or
-  /// sparse_staging = kOff).
-  double sparsity_zero_word_fraction = -1.0;
-  std::int64_t sparsity_sparse_strips = 0;
-  std::int64_t sparsity_dense_strips = 0;
+  /// Whole bit-planes of the stage's operands examined and elided from the
+  /// combine (0 when not measured: profile-only runs).
   std::int64_t sparsity_planes = 0;
   std::int64_t sparsity_planes_elided = 0;
+  /// k-strips taken by a skip-zero kernel vs the dense sweep. The host
+  /// kernel has no skip path and does not fill them; bench/e2e's replay
+  /// still reports their ratio.
+  std::int64_t sparsity_sparse_strips = 0;
+  std::int64_t sparsity_dense_strips = 0;
 
   TrafficCounters counters;
 };

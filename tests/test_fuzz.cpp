@@ -360,30 +360,16 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ConvFuzzSeed,
 
 // --- sparsity-stratified differential fuzzer -------------------------------
 //
-// The microkernel's data-sparsity fast paths (occupancy-map staging,
-// skip-zero kernels, bit-plane elision) are gated by
-// MicroConfig::sparse_staging and must be bit-exact at every setting. Each
-// case below shapes activations into a specific sparsity stratum — fully
-// zero inputs, all-zero bit planes, word-aligned zero runs straddling
-// k-strip boundaries, realistic ReLU-fed packed sparsity — and asserts that
-// kOff (dense baseline), kAuto, and kOn all reproduce the naive integer
-// reference exactly.
-
-using Sparse = core::microkernel::MicroConfig::Sparse;
-
-constexpr Sparse kSparseModes[] = {Sparse::kOff, Sparse::kAuto, Sparse::kOn};
-
-const char* sparse_name(Sparse s) {
-  switch (s) {
-    case Sparse::kAuto: return "kAuto";
-    case Sparse::kOn: return "kOn";
-    default: return "kOff";
-  }
-}
+// Sparse activations must stay bit-exact through the dense microkernel
+// sweep and the combine layer's whole-bit-plane elision. Each case below
+// shapes activations into a specific sparsity stratum — fully zero inputs,
+// all-zero bit planes, word-aligned zero runs straddling k-strip
+// boundaries, realistic ReLU-fed packed sparsity — and asserts that the
+// result reproduces the naive integer reference exactly.
 
 class SparsityFuzzSeed : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SparsityFuzzSeed, StratifiedSparseApmmMatchesNaiveInEveryMode) {
+TEST_P(SparsityFuzzSeed, StratifiedSparseApmmMatchesNaive) {
   Rng rng(GetParam() * 0x2545f4914f6cdd1dULL + 0x5eed);
   int p = 1, q = 1;
   const core::EncodingConfig enc = random_encodings(rng, &p, &q);
@@ -397,7 +383,7 @@ TEST_P(SparsityFuzzSeed, StratifiedSparseApmmMatchesNaiveInEveryMode) {
 
   // Carve the stratum into the activation rows. ±1 features have no zero
   // code (their planes never produce zero words from zero *values*), so
-  // those seeds exercise the sparse kernels' dense fallback instead.
+  // those seeds run dense operands instead.
   const int stratum = static_cast<int>(rng.uniform_int(0, 2));
   if (enc.x != Encoding::kSignedPM1) {
     for (std::int64_t j = 0; j < n; ++j) {
@@ -426,23 +412,18 @@ TEST_P(SparsityFuzzSeed, StratifiedSparseApmmMatchesNaiveInEveryMode) {
   const ApOperand w = core::make_operand(wl, enc.w, p);
   const ApOperand x = core::make_operand(xl, enc.x, q);
   const Tensor<std::int32_t> ref = naive_gemm(wl, xl);
-  for (const Sparse mode : kSparseModes) {
-    ApmmOptions o;
-    o.micro.sparse_staging = mode;
-    o.collect_profile = false;
-    const core::ApmmResult r = core::apmm(w, x, dev(), o);
-    ASSERT_EQ(r.y, ref)
-        << "seed " << GetParam() << " mode " << sparse_name(mode)
-        << " stratum " << stratum << " m=" << m << " n=" << n << " k=" << k
-        << " p=" << p << " q=" << q;
-  }
+  ApmmOptions o;
+  o.collect_profile = false;
+  const core::ApmmResult r = core::apmm(w, x, dev(), o);
+  ASSERT_EQ(r.y, ref) << "seed " << GetParam() << " stratum " << stratum
+                      << " m=" << m << " n=" << n << " k=" << k
+                      << " p=" << p << " q=" << q;
 }
 
-TEST(SparsityEdge, FullyZeroOperandsMatchInEveryMode) {
+TEST(SparsityEdge, FullyZeroOperandsMatchReference) {
   // Fully-zero activations — and, for Case I, fully-zero weights too —
-  // drive every strip through the skip path and elide every eligible
-  // plane. The reference is trivially the zero matrix; the point is that
-  // the sparse kernels and plane elision agree with it bit-exactly.
+  // elide every eligible plane. The reference is trivially the zero
+  // matrix; the point is that plane elision agrees with it bit-exactly.
   struct Cfg {
     Encoding we, xe;
     int p, q;
@@ -466,22 +447,19 @@ TEST(SparsityEdge, FullyZeroOperandsMatchInEveryMode) {
     const ApOperand w = core::make_operand(wl, c.we, c.p);
     const ApOperand x = core::make_operand(xl, c.xe, c.q);
     const Tensor<std::int32_t> ref = naive_gemm(wl, xl);
-    for (const Sparse mode : kSparseModes) {
-      ApmmOptions o;
-      o.micro.sparse_staging = mode;
-      o.collect_profile = false;
-      const core::ApmmResult r = core::apmm(w, x, dev(), o);
-      ASSERT_EQ(r.y, ref) << "p=" << c.p << " q=" << c.q << " zero_w="
-                          << c.zero_w << " mode " << sparse_name(mode);
-    }
+    ApmmOptions o;
+    o.collect_profile = false;
+    const core::ApmmResult r = core::apmm(w, x, dev(), o);
+    ASSERT_EQ(r.y, ref) << "p=" << c.p << " q=" << c.q
+                        << " zero_w=" << c.zero_w;
   }
 }
 
-TEST_P(SparsityFuzzSeed, ReluFedSecondConvLayerMatchesAcrossModes) {
+TEST_P(SparsityFuzzSeed, ReluFedSecondConvLayerMatchesReference) {
   // First conv layer with a fused ReLU + quantize tail emits packed
   // channel-major activations whose sparsity is the realistic one (zero
   // runs where ReLU clipped whole regions); the second layer consumes them
-  // under each sparse mode and must match the dense integer pipeline.
+  // and must match the dense integer pipeline.
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 0x0d1f);
   layout::ConvGeometry g;
   g.batch = rng.uniform_int(1, 2);
@@ -554,15 +532,11 @@ TEST_P(SparsityFuzzSeed, ReluFedSecondConvLayerMatchesAcrossModes) {
   const ApOperand w2op = core::make_conv_weights(w2, Encoding::kSignedPM1, 1);
   const Tensor<std::int32_t> ref2 =
       core::conv2d_reference(ref_codes, w2, g2);
-  for (const Sparse mode : kSparseModes) {
-    ApconvOptions o2;
-    o2.micro.sparse_staging = mode;
-    o2.collect_profile = false;
-    const core::ApconvResult r2 = core::apconv(
-        w2op, r1.packed, Encoding::kUnsigned01, g2, dev(), o2);
-    ASSERT_EQ(r2.y, ref2)
-        << "seed " << GetParam() << " mode " << sparse_name(mode);
-  }
+  ApconvOptions o2;
+  o2.collect_profile = false;
+  const core::ApconvResult r2 =
+      core::apconv(w2op, r1.packed, Encoding::kUnsigned01, g2, dev(), o2);
+  ASSERT_EQ(r2.y, ref2) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Strata, SparsityFuzzSeed,

@@ -145,9 +145,7 @@ class ConstPanel : public microkernel::PanelSource {
 // Every output at its maximum, 64 per word: AND of ones with ones, XOR of
 // ones with zeros. Random bits average 32 per word and never come near the
 // ceiling of a narrow counter, so only saturated operands pin the count
-// lanes at (and across) strip and chunk boundaries. A second pass zeroes
-// A's first word so the forced-sparse kernel takes its skip branch with
-// every remaining word saturated.
+// lanes at (and across) strip and chunk boundaries.
 TEST(MaxCount, EveryOutputReadsSixtyFourPerWord) {
   constexpr std::int64_t kRows = 16, kCols = 16;
   std::vector<std::int64_t> word_counts;
@@ -159,47 +157,35 @@ TEST(MaxCount, EveryOutputReadsSixtyFourPerWord) {
                                           ~std::uint64_t{0});
     const std::vector<std::uint64_t> zeros(static_cast<std::size_t>(words),
                                            0);
-    std::vector<std::uint64_t> holed = ones;
-    holed[0] = 0;
+    const std::int32_t want = static_cast<std::int32_t>(64 * words);
     for (const auto op : {tcsim::BitOp::kXor, tcsim::BitOp::kAnd}) {
       const std::vector<std::uint64_t>& b_row =
           op == tcsim::BitOp::kAnd ? ones : zeros;
+      const std::vector<const std::uint64_t*> a_rows(kRows, ones.data());
       const std::vector<const std::uint64_t*> b_rows(kCols, b_row.data());
-      for (const bool hole : {false, true}) {
-        const std::vector<const std::uint64_t*> a_rows(
-            kRows, hole ? holed.data() : ones.data());
-        const std::int32_t want =
-            static_cast<std::int32_t>(64 * (hole ? words - 1 : words));
-        for (const auto mode : {microkernel::MicroConfig::Sparse::kOn,
-                                microkernel::MicroConfig::Sparse::kOff}) {
-          microkernel::MicroConfig micro;
-          micro.sparse_staging = mode;
-          std::vector<std::int32_t> acc(kRows * kCols, 0);
-          arena.reset();
-          microkernel::block_bitgemm(op, a_rows.data(), kRows, b_rows.data(),
-                                     kCols, words, acc.data(), arena, micro);
-          for (const std::int32_t v : acc) {
-            ASSERT_EQ(v, want) << "words=" << words << " hole=" << hole
-                               << " sparse=" << static_cast<int>(mode)
-                               << " op=" << static_cast<int>(op);
-          }
-        }
-        const ConstPanel src(kCols, b_row[0]);
-        std::vector<std::int32_t> acc(kRows * kCols, 0);
-        arena.reset();
-        microkernel::block_bitgemm(op, a_rows.data(), kRows, src, words,
-                                   acc.data(), arena);
-        for (const std::int32_t v : acc) {
-          ASSERT_EQ(v, want) << "panel source words=" << words
-                             << " hole=" << hole;
-        }
+      std::vector<std::int32_t> acc(kRows * kCols, 0);
+      arena.reset();
+      microkernel::block_bitgemm(op, a_rows.data(), kRows, b_rows.data(),
+                                 kCols, words, acc.data(), arena);
+      for (const std::int32_t v : acc) {
+        ASSERT_EQ(v, want) << "row table words=" << words
+                           << " op=" << static_cast<int>(op);
+      }
+      const ConstPanel src(kCols, b_row[0]);
+      std::fill(acc.begin(), acc.end(), 0);
+      arena.reset();
+      microkernel::block_bitgemm(op, a_rows.data(), kRows, src, words,
+                                 acc.data(), arena);
+      for (const std::int32_t v : acc) {
+        ASSERT_EQ(v, want) << "panel source words=" << words
+                           << " op=" << static_cast<int>(op);
       }
       // The 8x8 tile kernel over the whole k range in one call.
       std::vector<std::int32_t> tile(64, 0);
       microkernel::tile_8x8_strip(op, ones.data(), 0, b_row.data(), 0, words,
                                   tile.data(), 8);
       for (const std::int32_t v : tile) {
-        ASSERT_EQ(v, 64 * words) << "tile words=" << words;
+        ASSERT_EQ(v, want) << "tile words=" << words;
       }
     }
   }

@@ -426,10 +426,8 @@ int cmd_serve(const Args& a) {
 }
 
 /// `inspect <model.apnn>`: load any exported network, run one profiled
-/// forward pass at --batch, and print the per-stage occupancy the sparse
-/// fast path actually saw — zero-word share at staging time, sparse-vs-dense
-/// strip decisions, and elided bit-planes — so an operator can tell whether
-/// the sparse path engages on that model.
+/// forward pass at --batch, and print per stage how many all-zero operand
+/// bit-planes the combine elided.
 int cmd_inspect(const Args& a) {
   if (a.positional.size() != 2 || a.batch < 1) {
     std::fprintf(stderr,
@@ -461,24 +459,14 @@ int cmd_inspect(const Args& a) {
   tcsim::SequenceProfile prof;
   session.run(input, &logits, &prof);
 
-  std::printf("%s w%da%d, batch %lld, device %s — per-stage occupancy\n",
+  std::printf("%s w%da%d, batch %lld, device %s — per-stage plane "
+              "elision\n",
               spec.name.c_str(), net->wbits(), net->abits(),
               static_cast<long long>(a.batch), dev.name.c_str());
-  std::printf("  %-24s %10s %8s %8s %s\n", "kernel", "zero-words",
-              "sparse", "dense", "planes elided");
+  std::printf("  %-24s %s\n", "kernel", "planes elided");
   for (const auto& k : prof.kernels) {
-    if (k.sparsity_sparse_strips == 0 && k.sparsity_dense_strips == 0 &&
-        k.sparsity_planes == 0) {
-      continue;  // glue kernels never stage panels
-    }
-    const std::string zw =
-        k.sparsity_zero_word_fraction < 0.0
-            ? std::string("   n/a")
-            : strf("%5.1f%%", 100.0 * k.sparsity_zero_word_fraction);
-    std::printf("  %-24s %10s %8lld %8lld %lld/%lld\n", k.name.c_str(),
-                zw.c_str(),
-                static_cast<long long>(k.sparsity_sparse_strips),
-                static_cast<long long>(k.sparsity_dense_strips),
+    if (k.sparsity_planes == 0) continue;  // glue kernels combine no planes
+    std::printf("  %-24s %lld/%lld\n", k.name.c_str(),
                 static_cast<long long>(k.sparsity_planes_elided),
                 static_cast<long long>(k.sparsity_planes));
   }

@@ -27,9 +27,9 @@ Gate kinds:
                   so the default tolerance leaves headroom for other CI
                   hardware.
   info            presence-checked only: command-line parameters, host
-                  width and kernel flavor (``simd``, a string), throughput
-                  and queueing metrics of short oversubscribed runs, and
-                  mid-sweep points.
+                  width and kernel flavor (``simd``, a string), and
+                  throughput and queueing metrics of short oversubscribed
+                  runs.
 
 Usage:
   check_bench.py --baseline-dir . --fresh-dir bench-out [names...]
@@ -56,24 +56,6 @@ OVERHEAD_FLOOR = 0.98
 REPLICA_SCALING_FLOOR = 2.0
 
 
-def _sweep_gates():
-    """apmm_sparsity_sweep: the 0% and 90% acceptance points carry ceilings;
-    the mid-sweep times and per-point ratios are informational."""
-    gates = {"m": "info", "n": "info", "k": "info", "reps": "info",
-             "hardware_threads": "info",
-             "sparsity_speedup_90": "ratio_floor",
-             "dense_parity_speedup_0": "ratio_floor"}
-    for scheme in ("w1a2", "w2a2"):
-        for point in (0, 25, 50, 75, 90, 95):
-            gated = point in (0, 90)
-            suffix = "ms" if gated else "millis"
-            kind = "ms_ceiling" if gated else "info"
-            gates[f"{scheme}_dense_{point}_{suffix}"] = kind
-            gates[f"{scheme}_sparse_{point}_{suffix}"] = kind
-            gates[f"{scheme}_ratio_{point}"] = "info"
-    return gates
-
-
 GATES = {
     "BENCH_apconv_hotpath.json": {
         "batch": "exact", "in_c": "exact", "hw": "exact", "out_c": "exact",
@@ -94,7 +76,6 @@ GATES = {
         "scores_w2a2_seq512_millis": "ms_ceiling",
         "proj_w1a2_quant_seq512_millis": "ms_ceiling",
     },
-    "BENCH_apmm_sparsity.json": _sweep_gates(),
     "BENCH_apnn_forward_hotpath.json": {
         "batch": "exact", "hw": "exact", "in_c": "exact", "classes": "exact",
         "reps": "info", "hardware_threads": "info",

@@ -2,8 +2,6 @@
 # Builds (if needed) and runs the wall-clock benchmarks:
 #   * bench/micro_host_kernels     (google-benchmark host primitives)
 #   * bench/apmm_hotpath           (seed loop vs microkernel pipeline)
-#   * bench/apmm_sparsity_sweep    (occupancy-map skip kernels vs the dense
-#                                   sweep, 0-95% activation sparsity)
 #   * bench/apconv_hotpath         (materialized-im2col vs fused APConv)
 #   * bench/apnn_forward_hotpath   (interpreter vs InferenceSession)
 #   * bench/attention_hotpath      (compiled attention plan family vs the
@@ -27,7 +25,7 @@ BUILD_DIR=${1:-build}
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target apmm_hotpath apmm_sparsity_sweep apconv_hotpath \
+  --target apmm_hotpath apconv_hotpath \
   apnn_forward_hotpath attention_hotpath serving_throughput \
   gateway_throughput
 if cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_host_kernels \
@@ -41,10 +39,6 @@ fi
 "$BUILD_DIR/apmm_hotpath" BENCH_apmm_hotpath.json
 echo "BENCH_apmm_hotpath.json:"
 cat BENCH_apmm_hotpath.json
-
-"$BUILD_DIR/apmm_sparsity_sweep" BENCH_apmm_sparsity.json
-echo "BENCH_apmm_sparsity.json:"
-cat BENCH_apmm_sparsity.json
 
 "$BUILD_DIR/apconv_hotpath" BENCH_apconv_hotpath.json
 echo "BENCH_apconv_hotpath.json:"
