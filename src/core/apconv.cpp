@@ -242,6 +242,7 @@ ApconvResult apconv(const ApOperand& w, const layout::PackedActivations& x,
   APNN_CHECK(opts.batch_planes)
       << "the unbatched plane strategy is exposed through apmm(); APConv "
          "always uses the virtually batched kernel";
+  APNN_CHECK(!epi.has_softmax) << "the row softmax is an APMM epilogue";
   const OpSelection sel = select_operator({w.encoding, x_enc});
   if (sel.kind == EmulationCase::kCaseII) {
     APNN_CHECK(w.bits() == 1 && x.bits == 1)

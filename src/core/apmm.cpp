@@ -16,6 +16,22 @@ std::string kernel_name(int p, int q) {
   return "apmm-w" + std::to_string(p) + "a" + std::to_string(q);
 }
 
+/// The block tile a call runs with: opts.tile as given, or the heuristic
+/// pick — row_complete_tile for a row-wise epilogue, else §4.3.2.
+TileConfig resolve_tile(std::int64_t m, std::int64_t n, std::int64_t k,
+                        int p, int q, const tcsim::DeviceSpec& dev,
+                        const ApmmOptions& opts, const Epilogue& epi) {
+  TileConfig tile = opts.tile;
+  if (!opts.autotune) {
+    assign_warp_grid(tile);
+  } else if (epi.has_softmax) {
+    tile = row_complete_tile(n, q);
+  } else {
+    tile = autotune_tile(m, n, k, p, q, dev, opts.tlp_threshold).tile;
+  }
+  return tile;
+}
+
 }  // namespace
 
 ApmmResult apmm(const ApOperand& w, const ApOperand& x,
@@ -30,18 +46,24 @@ ApmmResult apmm(const ApOperand& w, const ApOperand& x,
   }
 
   ApmmResult res;
-  TileConfig tile = opts.tile;
-  if (opts.autotune) {
-    tile = autotune_tile(w.rows(), x.rows(), w.cols(), w.bits(), x.bits(),
-                         dev, opts.tlp_threshold)
-               .tile;
-  } else {
-    assign_warp_grid(tile);
-  }
+  const TileConfig tile = resolve_tile(w.rows(), x.rows(), w.cols(),
+                                       w.bits(), x.bits(), dev, opts, epi);
   res.tile = tile;
   BatchedGeometry g = internal::make_geometry(w, x, tile);
   g.pool = opts.pool;
   g.sparsity = opts.sparsity_stats;
+  g.packed_row0 = opts.packed_row0;
+  if (epi.has_softmax) {
+    APNN_CHECK(!epi.has_bn && !epi.has_relu && !epi.has_quant)
+        << "the row softmax is the whole epilogue";
+    APNN_CHECK(epi.softmax.bits >= 1 && epi.softmax.bits <= 16 &&
+               epi.softmax.shift >= 0 && epi.softmax.shift <= 31)
+        << "row softmax: bits " << epi.softmax.bits << ", shift "
+        << epi.softmax.shift;
+    APNN_CHECK(g.grid_n == 1)
+        << "the row softmax needs a row-complete tile: bn " << tile.bn
+        << " < q*N = " << g.q * g.n;
+  }
 
   // --- Launch records -------------------------------------------------
   if (opts.collect_profile) {
@@ -57,7 +79,24 @@ ApmmResult apmm(const ApOperand& w, const ApOperand& x,
   if (opts.mode == ExecMode::kFull) {
     Tensor<std::int32_t>* y = &res.y;
     bitops::BitPlanes* packed = &res.packed;
-    if (epi.has_quant) {
+    if (epi.has_softmax) {
+      const int bits = epi.softmax.bits;
+      if (opts.packed_out != nullptr) {
+        packed = opts.packed_out;
+        APNN_CHECK(opts.packed_row0 >= 0 &&
+                   packed->rows >= opts.packed_row0 + g.m &&
+                   packed->cols == g.n && packed->bits == bits)
+            << "packed_out is " << packed->rows << "x" << packed->cols
+            << " (" << packed->bits << " bits); the call writes rows ["
+            << opts.packed_row0 << ", " << opts.packed_row0 + g.m
+            << ") of " << g.n << " columns, " << bits << " bits";
+      } else {
+        APNN_CHECK(opts.packed_row0 == 0)
+            << "packed_row0 needs a caller-shaped packed_out";
+        // The epilogue writes every word of every row.
+        packed->reset_shape(g.m, g.n, bits, /*zero_fill=*/false);
+      }
+    } else if (epi.has_quant) {
       if (opts.packed_out != nullptr) packed = opts.packed_out;
       packed->reset_shape(g.n, g.m, epi.quant.bits);
     } else {
@@ -76,12 +115,7 @@ tcsim::SequenceProfile apmm_profile(std::int64_t m, std::int64_t n,
                                     const ApmmOptions& opts,
                                     const Epilogue& epi) {
   const OpSelection sel = select_operator(enc);
-  TileConfig tile = opts.tile;
-  if (opts.autotune) {
-    tile = autotune_tile(m, n, k, p, q, dev, opts.tlp_threshold).tile;
-  } else {
-    assign_warp_grid(tile);
-  }
+  const TileConfig tile = resolve_tile(m, n, k, p, q, dev, opts, epi);
   const BatchedGeometry g = internal::make_geometry(m, n, k, p, q, tile);
   const std::string name = kernel_name(p, q);
 

@@ -76,6 +76,14 @@ struct ApmmOptions {
   Tensor<std::int32_t>* y_out = nullptr;
   bitops::BitPlanes* packed_out = nullptr;
 
+  /// Row-softmax epilogue only: output row m lands in plane row
+  /// packed_row0 + m, bit n (row-major, not transposed). With packed_out
+  /// set the caller shapes it (at least packed_row0 + M rows, N columns,
+  /// the code width) and each call overwrites its rows whole, padding
+  /// words included — per-sample calls fill one batch-wide plane set with
+  /// no zero fill and no atomics.
+  std::int64_t packed_row0 = 0;
+
   /// Build launch records in the result (true) or leave the profile empty —
   /// the steady-state serving path skips the per-call record churn.
   bool collect_profile = true;
@@ -95,8 +103,8 @@ struct ApmmResult {
   Tensor<std::int32_t> y;
 
   /// When the epilogue quantizes: the packed activation planes, transposed
-  /// to N x M so they feed the next layer directly (encoding kUnsigned01).
-  /// Empty otherwise.
+  /// to N x M so they feed the next layer directly (encoding kUnsigned01);
+  /// M x N row-major codes for the row softmax. Empty otherwise.
   bitops::BitPlanes packed;
 
   /// Launch records (1 kernel for the fused path; p*q + 1 for the naive
@@ -108,7 +116,9 @@ struct ApmmResult {
 };
 
 /// Runs APMM. `w` is M x K (p-bit), `x` is N x K (q-bit); `epi` is the fused
-/// elementwise epilogue (pass {} for the raw 32-bit GEMM).
+/// epilogue (pass {} for the raw 32-bit GEMM). A row-softmax epilogue needs
+/// a row-complete tile: the autotuned pick is row_complete_tile, and a
+/// fixed tile must have bn >= q * N.
 ApmmResult apmm(const ApOperand& w, const ApOperand& x,
                 const tcsim::DeviceSpec& dev, const ApmmOptions& opts = {},
                 const Epilogue& epi = {});

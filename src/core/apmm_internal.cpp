@@ -118,8 +118,8 @@ tcsim::KernelProfile batched_profile(const BatchedGeometry& g,
     c.alu_epilogue_ops +=
         g.blocks * out_per_block *
         (epi.alu_ops_per_element() + extra_alu_per_out);
-    if (epi.has_quant) {
-      const int qo = epi.quant.bits;
+    if (epi.packs()) {
+      const int qo = epi.output_bits();
       // Plane split (shift+and per bit) plus one ballot per 32 lanes/plane.
       c.alu_decompose_ops += g.blocks * out_per_block * qo;
       c.alu_decompose_ops += g.blocks * ceil_div(out_per_block, 32) * qo;
@@ -147,8 +147,8 @@ tcsim::KernelProfile combine_kernel_profile(const BatchedGeometry& g,
   c.global_load_bytes += g.p * g.q * g.m * g.n * 4;
   c.alu_combine_ops += g.p * g.q * g.m * g.n * 2;
   c.alu_epilogue_ops += g.m * g.n * epi.alu_ops_per_element();
-  if (epi.has_quant) {
-    const int qo = epi.quant.bits;
+  if (epi.packs()) {
+    const int qo = epi.output_bits();
     c.alu_decompose_ops += g.m * g.n * qo + ceil_div(g.m * g.n, 32) * qo;
     c.global_store_bytes += ceil_div(g.m * g.n, 32) * 4 * qo;
   } else {
@@ -279,6 +279,8 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
   for (int t = 0; t < g.q; ++t) xmult[t] = plane_multiplier(x.encoding, t, g.q);
 
   const int qbits = epi.has_quant ? epi.quant.bits : 0;
+  APNN_DCHECK(!epi.has_softmax || (!tail.active() && g.grid_n == 1))
+      << "the row softmax runs on complete APMM rows";
 
   // §4.1b in-place bit combination of one output row: reduces the p*q plane
   // partials of block row `mo` (`rows` = raw + mo*p*vtn8) into out[0, cols)
@@ -426,8 +428,10 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
     //       channel's scale/bias held in scalars,
     //   (3) the conv tail's pooling over the win² *contiguous* columns of
     //       each window (the window-major column order makes them adjacent),
-    //   (4) quantize + mask build, or the dense store.
-    // A dense APMM row is contiguous in y, so it is combined in place.
+    //   (4) quantize + mask build, or the dense store —
+    // or, for the row softmax, (1) then the row's requantize straight into
+    // its plane words. A dense APMM row is contiguous in y, so it is
+    // combined in place.
     const std::int64_t win =
         tail.active() && tail.pool.active() ? tail.pool.size : 1;
     const std::int64_t wsz = win * win;
@@ -468,13 +472,33 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
       std::fill_n(masks, qbits * nw * nwin, 0);
     }
 
-    const bool in_place = !tail.active() && qbits == 0;
-    std::int32_t* buf = in_place ? nullptr : arena.get<std::int32_t>(cols);
+    const bool in_place = !tail.active() && qbits == 0 && !epi.has_softmax;
+    // The softmax mask build reads whole 64-column words; it ignores the
+    // padding past `cols`, which is zeroed so every read is defined.
+    const std::int64_t buf_len = epi.has_softmax ? round_up(cols, 64) : cols;
+    std::int32_t* buf = in_place ? nullptr : arena.get<std::int32_t>(buf_len);
+    std::int32_t* thr = nullptr;
+    std::uint64_t* sm_rows[16];
+    if (epi.has_softmax) {
+      std::fill(buf + cols, buf + buf_len, 0);
+      thr = arena.get<std::int32_t>((std::int64_t{1} << epi.softmax.bits) - 1);
+    }
     for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
       const std::int64_t m = m0 + mo;
       std::int32_t* yrow = in_place ? y->data() + m * g.n + n0 : buf;
       combine_row(raw + mo * g.p * g.vtn8, xp, cols,
                   reinterpret_cast<std::uint32_t*>(yrow));
+      if (epi.has_softmax) {
+        // The block owns the whole row, so it writes the row's words
+        // outright: no zero fill, no atomics.
+        for (int u = 0; u < epi.softmax.bits; ++u) {
+          sm_rows[u] = packed->planes[static_cast<std::size_t>(u)].row(
+              g.packed_row0 + m);
+        }
+        row_softmax_pack(yrow, cols, epi.softmax, thr, sm_rows,
+                         packed->planes[0].row_words());
+        continue;
+      }
       if (corr_idx != nullptr) {
         const std::int32_t* mcorr =
             tail.corr + m * tail.g->out_h() * tail.g->out_w();

@@ -46,6 +46,10 @@ struct BatchedGeometry {
   /// observability only, never consulted for dispatch). nullptr = don't
   /// collect.
   microkernel::SparsityStats* sparsity = nullptr;
+
+  /// Row-softmax epilogue: output row m lands in packed plane row
+  /// packed_row0 + m (ApmmOptions::packed_row0).
+  std::int64_t packed_row0 = 0;
 };
 
 BatchedGeometry make_geometry(const ApOperand& w, const ApOperand& x,
@@ -113,7 +117,8 @@ struct ConvTail {
 
 /// Functional computation (identical for every option set — options only
 /// change where bytes move). Writes either y (m x n int32) or, when the
-/// epilogue quantizes, packed planes (n x m).
+/// epilogue quantizes, packed planes (n x m); the row softmax writes
+/// row-major planes, rows [g.packed_row0, g.packed_row0 + m).
 void run_batched_compute(const ApOperand& w, const ApOperand& x,
                          const OpSelection& sel, const BatchedGeometry& g,
                          const Epilogue& epi, Tensor<std::int32_t>* y,

@@ -320,6 +320,36 @@ inline void tile_8x8_strip(tcsim::BitOp op, const std::uint64_t* a,
   }
 }
 
+/// Compare mask of one 64-column word: bit j is set when v[j] >= thr, for
+/// the 64 values at v. The one flavor-specific step of the row-softmax
+/// requantize (core::row_softmax_pack); the three versions differ in the
+/// compare instruction alone.
+inline std::uint64_t ge_mask64(const std::int32_t* v, std::int32_t thr) {
+  std::uint64_t m = 0;
+#if defined(__AVX512BW__) && defined(__AVX512VPOPCNTDQ__)
+  const __m512i t = _mm512_set1_epi32(thr);
+  for (int c = 0; c < 4; ++c) {
+    const __m512i x = _mm512_loadu_si512(v + 16 * c);
+    m |= std::uint64_t{_mm512_cmpge_epi32_mask(x, t)} << (16 * c);
+  }
+#elif defined(__AVX2__)
+  const __m256i t = _mm256_set1_epi32(thr);
+  for (int c = 0; c < 8; ++c) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + 8 * c));
+    // v >= thr  <=>  !(thr > v): no thr - 1, so no overflow at INT32_MIN.
+    const int lt = _mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpgt_epi32(t, x)));
+    m |= std::uint64_t{static_cast<std::uint8_t>(~lt)} << (8 * c);
+  }
+#else
+  for (int j = 0; j < 64; ++j) {
+    m |= std::uint64_t{v[j] >= thr} << j;
+  }
+#endif
+  return m;
+}
+
 /// Whole-bit-plane elision counters of the combine layer: how many operand
 /// planes a call examined and how many were all-zero and dropped. One
 /// instance may aggregate any number of concurrent calls (atomic counters).

@@ -95,4 +95,12 @@ TileConfig clamp_tile_rows(TileConfig t, std::int64_t m, int p) {
   return t;
 }
 
+TileConfig row_complete_tile(std::int64_t n, int q) {
+  TileConfig t;
+  t.bm = 16;
+  t.bn = static_cast<int>((n * q + 7) / 8 * 8);
+  assign_warp_grid(t);
+  return t;
+}
+
 }  // namespace apnn::core

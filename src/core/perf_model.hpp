@@ -64,4 +64,10 @@ void assign_warp_grid(TileConfig& t);
 /// refinement InferenceSession applies on top of the heuristic.
 TileConfig clamp_tile_rows(TileConfig t, std::int64_t m, int p);
 
+/// The tile of a row-wise epilogue (the row softmax): bn spans all q*n
+/// virtual columns, so the grid has one column block and every block holds
+/// complete output rows; bm = 16 virtual rows keeps a block's raw
+/// accumulators (16 x bn int32, 64 KiB at n = 512, q = 2) cache-resident.
+TileConfig row_complete_tile(std::int64_t n, int q);
+
 }  // namespace apnn::core

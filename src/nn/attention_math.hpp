@@ -1,9 +1,12 @@
-// The integer attention tail shared by every attention execution path.
+// The integer attention tail: the score shift and the reference softmax row.
 //
-// The reference walker (ApnnNetwork), the compiled session steps, and the
-// hand-built example head all funnel raw QK^T scores through these exact
-// functions, so bit-exactness between the paths holds by construction
-// rather than by parallel reimplementation.
+// The reference walker (ApnnNetwork) and the hand-built attention bench
+// funnel raw QK^T scores through attn_softmax_row. The compiled
+// session does not: its score step runs core::RowSoftmax in the APMM block
+// epilogue, an independent division-free threshold form of the same
+// arithmetic. tests/test_apmm.cpp pins the two equal on the whole small
+// domain (code widths 1-8, shifts 0-3, row maxima 0-4096) in every kernel
+// flavor.
 #pragma once
 
 #include <algorithm>

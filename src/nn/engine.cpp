@@ -227,8 +227,10 @@ ModelProfile profile_model(const ModelSpec& m, std::int64_t batch,
       }
       case LayerKind::kAttention: {
         // Attention lowers to GEMMs — Q/K/V projections, per-(sample, head)
-        // QK^T and attn x V, and the output projection — plus an
-        // elementwise integer-softmax tail over the score matrices.
+        // QK^T and attn x V, and the output projection — plus the integer
+        // softmax over the score matrices: fused into the QK^T epilogue
+        // for fused APNN (packed codes leave the kernel), else a separate
+        // elementwise pass.
         const std::int64_t seq_len = in_shape.h;
         const std::int64_t d_model = in_shape.c;
         const std::int64_t dh = l.attn.d_head;
@@ -236,17 +238,24 @@ ModelProfile profile_model(const ModelSpec& m, std::int64_t batch,
         const std::int64_t proj = heads * dh;
         const std::int64_t tokens = batch * seq_len;
         tcsim::SequenceProfile seq;
+        const bool apnn = cfg.scheme == Scheme::kApnn;
+        const bool fused_scores = apnn && cfg.fuse;
         auto add_gemm = [&](std::int64_t gm, std::int64_t gn,
-                            std::int64_t gk, int q_act,
-                            std::int64_t count) {
+                            std::int64_t gk, int q_act, std::int64_t count,
+                            bool scores = false) {
           tcsim::SequenceProfile one;
-          if (cfg.scheme == Scheme::kApnn) {
+          if (apnn) {
             core::ApmmOptions opts;
             Epilogue epi;
-            epi.has_relu = true;
-            epi.has_quant = true;
-            epi.quant.bits = q;
-            epi.quant.scale = 1.0;
+            if (scores) {
+              epi.has_softmax = true;
+              epi.softmax.bits = q;
+            } else {
+              epi.has_relu = true;
+              epi.has_quant = true;
+              epi.quant.bits = q;
+              epi.quant.scale = 1.0;
+            }
             one = core::apmm_profile(gm, gn, gk, p, q_act, enc, dev, opts,
                                      epi);
           } else if (cfg.scheme == Scheme::kBnn) {
@@ -263,12 +272,15 @@ ModelProfile profile_model(const ModelSpec& m, std::int64_t batch,
         };
         const int q_in = first_gemm_seen ? q : 8;
         add_gemm(proj, tokens, d_model, q_in, 3);           // Q/K/V
-        add_gemm(seq_len, seq_len, dh, q, batch * heads);   // QK^T
+        add_gemm(seq_len, seq_len, dh, q, batch * heads,  // QK^T
+                 fused_scores);
         add_gemm(seq_len, dh, seq_len, q, batch * heads);   // attn x V
         add_gemm(d_model, tokens, proj, q, 1);              // output proj
-        seq.add(elementwise_profile(l.name + ".softmax",
-                                    batch * heads * seq_len * seq_len, 4.0,
-                                    act_bytes(cfg), 4));
+        if (!fused_scores) {
+          seq.add(elementwise_profile(l.name + ".softmax",
+                                      batch * heads * seq_len * seq_len, 4.0,
+                                      act_bytes(cfg), 4));
+        }
         add_layer(l.name, l.kind, seq);
         first_gemm_seen = true;
         break;

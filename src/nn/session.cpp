@@ -43,7 +43,7 @@ enum class StepKind {
   kUnpack,        ///< packed conv planes -> dense codes
   kUnpackLinear,  ///< N x M feature planes -> dense {B, F} codes
   kAttnProj,      ///< Q/K/V projection apmm (aux = 0/1/2), quantizing tail
-  kAttnScores,    ///< per-head QK^T + integer softmax -> attn codes (aux=head)
+  kAttnScores,    ///< per-head QK^T, row-softmax epilogue -> codes (aux=head)
   kAttnContext,   ///< per-head attn x V via packed transpose (aux = head)
   kAttnOut,       ///< concat heads (extra_in) + output projection apmm
   kUnpackTokens,  ///< token-major planes -> dense NHWC {B, seq, 1, C} codes
@@ -315,7 +315,7 @@ const quant::QuantParams& attn_proj_quant(const ApnnStage& st, int aux) {
 int attn_scratch_count(StepKind k) {
   switch (k) {
     case StepKind::kAttnScores:
-      return 2;  // Q-head + K-head slices (scores reuse the Q slot's dense)
+      return 2;  // Q-head + K-head slices (the epilogue writes the codes)
     case StepKind::kAttnContext:
       return 3;  // attn block, V-head slice, transposed V-head
     case StepKind::kAttnOut:
@@ -980,7 +980,9 @@ const InferenceSession::Plan::ResolvedBatch& resolve_batch(
           plan.spec.layers[s.layer].attn.d_head;
       const int abits = out.bits;
       if (s.kind == StepKind::kAttnScores) {
-        rb.tile[si] = heuristic(seq, seq, dh, abits, abits);
+        // The row-softmax epilogue needs every key column of a query row
+        // in one block.
+        rb.tile[si] = core::row_complete_tile(seq, abits);
       } else {
         rb.tile[si] = heuristic(seq, dh, seq, abits, abits);
       }
@@ -1423,10 +1425,16 @@ void InferenceSession::run_plan(Plan& plan,
         parallel::SlabSlot& s1 =
             slab_.slot(static_cast<std::size_t>(step.scratch_slots[1]));
         parallel::SlabSlot& dst = slot_of(step.out);
-        // pack_codes overwrites every padded word of the rows it writes.
+        // Each call's epilogue overwrites every padded word of its sample's
+        // rows: scale -> integer softmax -> requantize on each complete
+        // score row, written straight into the output planes.
         dst.planes.reset_shape(batch * seq, seq, abits, /*zero_fill=*/false);
         const bitops::BitPlanes& q = slot_of(step.in).planes;
         const bitops::BitPlanes& k = slot_of(step.in2).planes;
+        core::Epilogue epi;
+        epi.has_softmax = true;
+        epi.softmax.shift = shift;
+        epi.softmax.bits = abits;
         for (std::int64_t b = 0; b < batch; ++b) {
           stage_col_slice(tp, q, b * seq, seq, col0, dh, s0.planes);
           stage_col_slice(tp, k, b * seq, seq, col0, dh, s1.planes);
@@ -1440,29 +1448,19 @@ void InferenceSession::run_plan(Plan& plan,
           o.tile = rb.tile[si];
           o.collect_profile = prof != nullptr;
           o.pool = opts_.pool;
-          o.y_out = &s0.dense;  // raw seq x seq scores
+          o.packed_out = &dst.planes;
+          o.packed_row0 = b * seq;
           core::microkernel::SparsityStats sstats;
           o.sparsity_stats = prof != nullptr ? &sstats : nullptr;
           const std::size_t first =
               prof != nullptr ? prof->kernels.size() : 0;
-          core::ApmmResult r =
-              core::apmm(qop, kop, dev_, o, core::Epilogue{});
+          core::ApmmResult r = core::apmm(qop, kop, dev_, o, epi);
           if (prof != nullptr) {
             prof->add(r.profile);
             annotate_sparsity(prof, first, sstats);
           }
           s0.planes = std::move(qop.planes);
           s1.planes = std::move(kop.planes);
-          // Scale -> integer softmax -> requantize, in place on the raw
-          // scores (row max is read out before any write), then pack the
-          // sample's row block of the output planes.
-          std::int32_t* scores = s0.dense.data();
-          tp.parallel_for(0, seq, [&](std::int64_t i) {
-            attn_softmax_row(scores + i * seq, seq, shift, abits,
-                             scores + i * seq);
-          }, kRowGrain);
-          pack_codes(tp, scores, seq, seq, abits, dst.planes.planes,
-                     kRowGrain, b * seq);
         }
         break;
       }

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
 #include "src/bitops/decompose.hpp"
 #include "src/core/apmm.hpp"
+#include "src/nn/attention_math.hpp"
 #include "src/tcsim/cost_model.hpp"
 #include "test_util.hpp"
 
@@ -392,6 +395,205 @@ TEST(ApmmEpilogue, DifferentialSweepMatchesNaiveGemmThenApply) {
       }
     }
   }
+}
+
+// --- row-softmax requantize ------------------------------------------------------
+//
+// The score epilogue builds codes from compare masks against per-row
+// thresholds; nn::attn_softmax_row divides per element. Nothing shares code
+// between the two, so these tests pin them equal.
+
+/// Runs row_softmax_pack on `row` (n live values) and checks every plane
+/// word against the codes attn_softmax_row assigns. The padding past n is
+/// poisoned with INT32_MAX and the destination words with all-ones, so a
+/// mask that read the padding or a word left unwritten shows up.
+::testing::AssertionResult pack_matches_reference(std::vector<std::int32_t> row,
+                                                  std::int64_t n,
+                                                  const RowSoftmax& sm) {
+  const std::int64_t row_words = bitops::padded_words(n);
+  row.resize(static_cast<std::size_t>(row_words * 64),
+             std::numeric_limits<std::int32_t>::max());
+  std::vector<std::int32_t> codes(static_cast<std::size_t>(n));
+  nn::attn_softmax_row(row.data(), n, sm.shift, sm.bits, codes.data());
+
+  std::vector<std::uint64_t> words(
+      static_cast<std::size_t>(sm.bits * row_words), ~std::uint64_t{0});
+  std::uint64_t* planes[16];
+  for (int u = 0; u < sm.bits; ++u) planes[u] = words.data() + u * row_words;
+  std::vector<std::int32_t> thr(
+      static_cast<std::size_t>((1 << sm.bits) - 1));
+  row_softmax_pack(row.data(), n, sm, thr.data(), planes, row_words);
+
+  for (std::int64_t w = 0; w < row_words; ++w) {
+    for (int u = 0; u < sm.bits; ++u) {
+      std::uint64_t expect = 0;
+      for (std::int64_t j = w * 64; j < std::min(n, w * 64 + 64); ++j) {
+        expect |= std::uint64_t{(codes[static_cast<std::size_t>(j)] >> u) &
+                                1u}
+                  << (j - w * 64);
+      }
+      if (planes[u][w] != expect) {
+        return ::testing::AssertionFailure()
+               << "n " << n << " bits " << sm.bits << " shift " << sm.shift
+               << ": plane " << u << " word " << w << " is " << std::hex
+               << planes[u][w] << ", expected " << expect;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(RowSoftmax, ThresholdCodesMatchDivisionOnTheWholeSmallDomain) {
+  // Every code width 1..8, shift 0..3 and row maximum R in [0, 4096], over
+  // a row holding every score in [-4, R] once: n = R + 5 columns, so the
+  // widths also sweep every remainder mod 64.
+  for (int bits = 1; bits <= 8; ++bits) {
+    for (int shift = 0; shift <= 3; ++shift) {
+      const RowSoftmax sm{shift, bits};
+      for (std::int32_t r = 0; r <= 4096; ++r) {
+        std::vector<std::int32_t> row;
+        for (std::int32_t v = -4; v <= r; ++v) row.push_back(v);
+        const auto n = static_cast<std::int64_t>(row.size());
+        ASSERT_TRUE(pack_matches_reference(std::move(row), n, sm))
+            << "row max " << r;
+      }
+    }
+  }
+}
+
+TEST(RowSoftmax, ExtremeRowsAndThresholdsPastInt32) {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  const std::vector<std::vector<std::int32_t>> rows = {
+      {kMax, kMax - 1, kMax / 2, kMax / 3, 1, 0, -1, kMin},
+      {kMax - 7, kMax - 8, kMax / 255, 1 << 20, 0},
+      {kMin, -1, kMin + 1},  // no positive score: every code is 0
+      {0, 0, 0},
+  };
+  bool saw_short = false;
+  for (int bits = 1; bits <= 8; ++bits) {
+    for (int shift = 0; shift <= 31; ++shift) {
+      const RowSoftmax sm{shift, bits};
+      for (const auto& row : rows) {
+        EXPECT_TRUE(pack_matches_reference(
+            row, static_cast<std::int64_t>(row.size()), sm));
+        std::vector<std::int32_t> thr(
+            static_cast<std::size_t>((1 << bits) - 1));
+        std::int32_t row_max = kMin;
+        for (const std::int32_t v : row) row_max = std::max(row_max, v);
+        const int nthr = row_softmax_thresholds(row_max, sm, thr.data());
+        saw_short = saw_short || nthr < (1 << bits) - 1;
+        for (int t = 1; t < nthr; ++t) EXPECT_LE(thr[t - 1], thr[t]);
+      }
+    }
+  }
+  // Large shifts push thresholds past INT32_MAX; those levels are
+  // unreachable and their masks empty.
+  EXPECT_TRUE(saw_short);
+}
+
+TEST(RowSoftmax, ApmmEpilogueWritesWholeRowsAtAnOffset) {
+  // The fused score epilogue against the dense GEMM followed by
+  // attn_softmax_row, on row-complete tiles: widths that are not multiples
+  // of 64 (their padding bits and words must come out zero), several row
+  // blocks, and an output row offset inside a larger plane set whose other
+  // rows must stay untouched.
+  struct Case {
+    std::int64_t m, n, k;
+    int p, q, shift;
+  };
+  for (const Case c : {Case{32, 32, 16, 2, 2, 2}, Case{50, 50, 16, 2, 2, 2},
+                       Case{17, 130, 100, 3, 3, 1}, Case{9, 64, 16, 1, 2, 0},
+                       Case{40, 200, 48, 2, 2, 3}}) {
+    Rng rng(static_cast<std::uint64_t>(c.m * 131 + c.n));
+    const auto wl = random_logical(rng, c.m, c.k, Encoding::kUnsigned01, c.p);
+    const auto xl = random_logical(rng, c.n, c.k, Encoding::kUnsigned01, c.q);
+    const ApOperand w = make_operand(wl, Encoding::kUnsigned01, c.p);
+    const ApOperand x = make_operand(xl, Encoding::kUnsigned01, c.q);
+    const Tensor<std::int32_t> scores = naive_gemm(wl, xl);
+
+    Epilogue epi;
+    epi.has_softmax = true;
+    epi.softmax = {c.shift, c.q};
+    constexpr std::int64_t kRow0 = 3;
+    bitops::BitPlanes dst;
+    dst.reset_shape(c.m + 2 * kRow0, c.n, c.q);
+    for (auto& pm : dst.planes) {
+      for (std::int64_t r = 0; r < pm.rows(); ++r) {
+        std::fill_n(pm.row(r), pm.row_words(), ~std::uint64_t{0});
+      }
+    }
+    ApmmOptions o;
+    o.autotune = false;
+    o.tile = row_complete_tile(c.n, c.q);
+    o.packed_out = &dst;
+    o.packed_row0 = kRow0;
+    apmm(w, x, dev(), o, epi);
+    const ApmmResult own = apmm(w, x, dev(), {}, epi);  // autotuned tile
+    EXPECT_EQ(own.tile.bn, o.tile.bn);
+    ASSERT_EQ(own.packed.rows, c.m);
+
+    std::vector<std::int32_t> codes(static_cast<std::size_t>(c.n));
+    for (std::int64_t i = 0; i < c.m; ++i) {
+      nn::attn_softmax_row(&scores(i, 0), c.n, c.shift, c.q, codes.data());
+      for (int u = 0; u < c.q; ++u) {
+        const bitops::BitMatrix& pm = dst.plane(u);
+        for (std::int64_t wd = 0; wd < pm.row_words(); ++wd) {
+          std::uint64_t expect = 0;
+          for (std::int64_t j = wd * 64; j < std::min(c.n, wd * 64 + 64);
+               ++j) {
+            expect |= std::uint64_t{
+                          (codes[static_cast<std::size_t>(j)] >> u) & 1u}
+                      << (j - wd * 64);
+          }
+          EXPECT_EQ(pm.row(kRow0 + i)[wd], expect)
+              << c.m << "x" << c.n << " row " << i << " plane " << u;
+          EXPECT_EQ(own.packed.plane(u).row(i)[wd], expect);
+        }
+      }
+    }
+    for (int u = 0; u < c.q; ++u) {  // rows outside the call's range
+      const bitops::BitMatrix& pm = dst.plane(u);
+      for (const std::int64_t r : {std::int64_t{0}, kRow0 - 1, kRow0 + c.m,
+                                   pm.rows() - 1}) {
+        EXPECT_EQ(pm.row(r)[0], ~std::uint64_t{0}) << "row " << r;
+      }
+    }
+  }
+}
+
+TEST(RowSoftmax, RejectsTilesThatSplitARow) {
+  const Operands o = sample_operands(15, 16, 128, 16, 2, 2);
+  Epilogue epi;
+  epi.has_softmax = true;
+  epi.softmax = {0, 2};
+  ApmmOptions split;
+  split.autotune = false;
+  split.tile.bm = 16;
+  split.tile.bn = 64;  // 32 of the 128 columns per block
+  EXPECT_THROW(apmm(o.w, o.x, dev(), split, epi), Error);
+}
+
+TEST(RowSoftmax, ProfileCountsPackedStoresNotInt32Scores) {
+  // The launch record of the fused score step stores seq*seq*bits/8 bytes
+  // of codes and prices the threshold compares, where the dense-output GEMM
+  // stored seq*seq 4-byte scores.
+  constexpr std::int64_t kSeq = 512;
+  ApmmOptions o;
+  o.autotune = false;
+  o.tile = row_complete_tile(kSeq, 2);
+  const EncodingConfig enc{Encoding::kUnsigned01, Encoding::kUnsigned01};
+  Epilogue epi;
+  epi.has_softmax = true;
+  epi.softmax = {1, 2};
+  const auto fused =
+      apmm_profile(kSeq, kSeq, 16, 2, 2, enc, dev(), o, epi).total_counters();
+  const auto dense =
+      apmm_profile(kSeq, kSeq, 16, 2, 2, enc, dev(), o, {}).total_counters();
+  EXPECT_EQ(fused.global_store_bytes, kSeq * kSeq * 2 / 8);
+  EXPECT_EQ(dense.global_store_bytes, kSeq * kSeq * 4);
+  EXPECT_EQ(fused.alu_epilogue_ops, kSeq * kSeq * (1 + 3));
+  EXPECT_GT(fused.alu_decompose_ops, 0);
 }
 
 // --- cost-model integration -----------------------------------------------------

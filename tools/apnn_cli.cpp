@@ -427,7 +427,8 @@ int cmd_serve(const Args& a) {
 
 /// `inspect <model.apnn>`: load any exported network, run one profiled
 /// forward pass at --batch, and print per stage how many all-zero operand
-/// bit-planes the combine elided.
+/// bit-planes the combine elided and the bytes its launch record stores
+/// (packed codes for quantizing and row-softmax epilogues, int32 else).
 int cmd_inspect(const Args& a) {
   if (a.positional.size() != 2 || a.batch < 1) {
     std::fprintf(stderr,
@@ -460,15 +461,18 @@ int cmd_inspect(const Args& a) {
   session.run(input, &logits, &prof);
 
   std::printf("%s w%da%d, batch %lld, device %s — per-stage plane "
-              "elision\n",
+              "elision and modeled stores\n",
               spec.name.c_str(), net->wbits(), net->abits(),
               static_cast<long long>(a.batch), dev.name.c_str());
-  std::printf("  %-24s %s\n", "kernel", "planes elided");
+  std::printf("  %-24s %-14s %s\n", "kernel", "planes elided",
+              "store bytes");
   for (const auto& k : prof.kernels) {
     if (k.sparsity_planes == 0) continue;  // glue kernels combine no planes
-    std::printf("  %-24s %lld/%lld\n", k.name.c_str(),
-                static_cast<long long>(k.sparsity_planes_elided),
-                static_cast<long long>(k.sparsity_planes));
+    const std::string elided =
+        std::to_string(k.sparsity_planes_elided) + "/" +
+        std::to_string(k.sparsity_planes);
+    std::printf("  %-24s %-14s %lld\n", k.name.c_str(), elided.c_str(),
+                static_cast<long long>(k.counters.global_store_bytes));
   }
   return 0;
 }
